@@ -15,8 +15,6 @@ degree of parallelism. Strands are arrays of 1-based base indices.
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -25,6 +23,7 @@ import numpy as np
 from .marker import (
     FragmentClass,
     MarkerCodeParams,
+    _marker_columns,
     classify_fragment,
     construct_codeword,
     layout,
@@ -102,17 +101,29 @@ def break_model_to_json_dict(model: BreakModel) -> dict:
     return out
 
 
+def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+
+
 def break_model_from_json_dict(obj: dict) -> BreakModel:
     kind = obj["kind"]
+    if kind not in ("per_bond", "exactly_t", "at_most_t"):
+        raise ValueError(f"unknown break model kind {kind!r}")
+    fields = {"p"} if kind == "per_bond" else {"t", "bond_range"}
+    _reject_unknown_keys(obj, {"kind"} | fields, "break_model")
     if kind == "per_bond":
         return PerBond(p=float(obj["p"]))
     rng = obj.get("bond_range")
     bond_range = None if rng is None else (int(rng[0]), int(rng[1]))
     if kind == "exactly_t":
         return ExactlyT(t=int(obj["t"]), bond_range=bond_range)
-    if kind == "at_most_t":
-        return AtMostT(t=int(obj["t"]), bond_range=bond_range)
-    raise ValueError(f"unknown break model kind {kind!r}")
+    return AtMostT(t=int(obj["t"]), bond_range=bond_range)
+
+
+_CONFIG_KEYS = {"code_params", "strand_count", "break_model", "sample_size", "with_replacement", "seed"}
+_CODE_PARAMS_KEYS = {"q", "M", "n", "ell", "marker_base", "anchor_base"}
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,9 @@ class ChannelConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict, default_seed: Optional[int] = None) -> "ChannelConfig":
+        _reject_unknown_keys(obj, _CONFIG_KEYS, "config")
         cp = obj["code_params"]
+        _reject_unknown_keys(cp, _CODE_PARAMS_KEYS, "code_params")
         params = MarkerCodeParams(
             alphabet=AlphabetParams(q=int(cp["q"]), M=int(cp["M"])),
             n=int(cp["n"]),
@@ -194,7 +207,9 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int, first_index: int 
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
-    cum = np.cumsum(matrix.probability_array(), axis=0)[:-1, :]
+    # Integer cumsum, then one division: the last threshold is exactly 1.0
+    # and a zero-count base gets an empty interval, so it is never drawn.
+    cum = (np.cumsum(matrix.count_array(), axis=0) / matrix.params.M)[:-1, :]
     n = matrix.n
     strands = np.empty((count, n), dtype=np.int16)
     for i in range(count):
@@ -237,23 +252,24 @@ def apply_breaks_traced(
     return list(zip(starts, pieces))
 
 
-def _sample_indices(pool_size: int, k: int, with_replacement: bool, rng: np.random.Generator) -> np.ndarray:
-    if pool_size < 1:
+def sample_fragments(pool: Sequence, k: int, with_replacement: bool, rng: np.random.Generator) -> list:
+    """Uniformly sample k pool items, in randomized order.
+
+    The items are usually fragments; run_experiment samples (start, fragment)
+    pairs so that traced runs keep each fragment's true start column.
+    """
+    size = len(pool)
+    if size < 1:
         raise ValueError("fragment pool is empty")
     if k < 1:
         raise ValueError(f"sample size must be >= 1, got {k}")
     if with_replacement:
-        return rng.integers(0, pool_size, size=k)
-    if k > pool_size:
-        raise ValueError(f"cannot sample {k} fragments from a pool of {pool_size} without replacement")
-    return rng.permutation(pool_size)[:k]
-
-
-def sample_fragments(
-    pool: Sequence[np.ndarray], k: int, with_replacement: bool, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Uniformly sample k fragments from the pool, in randomized order."""
-    return [pool[i] for i in _sample_indices(len(pool), k, with_replacement, rng)]
+        idx = rng.integers(0, size, size=k)
+    else:
+        if k > size:
+            raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
+        idx = rng.permutation(size)[:k]
+    return [pool[i] for i in idx]
 
 
 @dataclass
@@ -306,22 +322,18 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     q, m, n = params.q, params.M, params.n
     if count_table.shape != (q, n):
         raise ValueError(f"count table shape {count_table.shape} != ({q}, {n})")
-    lay = layout(params)
+    breakers = layout(params).breaker_positions
+    markers = _marker_columns(params)
     mb0 = params.marker_base - 1
-    anchor = [0] * q
-    anchor[params.anchor_base - 1] = m
-    marker = [0] * q
-    marker[mb0] = m
     cols: list[CompositeSymbol] = []
     for j in range(1, n + 1):
-        if j in lay.marker_positions:
-            pattern = anchor if j in (1, params.ell + 2, n - params.ell - 1, n) else marker
-            cols.append(CompositeSymbol(tuple(pattern)))
+        if j in markers:
+            cols.append(markers[j])
             continue
         freqs = count_table[:, j - 1].astype(float)
         if freqs.sum() <= 0:
             raise ZeroCoverageError(f"no coverage at data column {j}")
-        if j in lay.breaker_positions:
+        if j in breakers:
             rest = [freqs[i] for i in range(q) if i != mb0]
             if sum(rest) <= 0:
                 raise ZeroCoverageError(f"no usable coverage at breaker column {j}")
@@ -377,15 +389,6 @@ def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     return [int(gen.integers(0, radix)) for radix in message_radices(params)]
 
 
-def _strand_fragments(
-    probs_cum: np.ndarray, params: MarkerCodeParams, config: ChannelConfig, i: int
-) -> list[tuple[int, np.ndarray]]:
-    n = params.n
-    u = substream(config.seed, LANE_SYNTH, i).random(n)
-    strand = (1 + (u[None, :] >= probs_cum).sum(axis=0)).astype(np.int16)
-    return apply_breaks_traced(strand, config.break_model, substream(config.seed, LANE_BREAK, i))
-
-
 def _classification_error(kind: FragmentClass, start: int, length: int, n: int) -> bool:
     end = start + length - 1
     if kind is FragmentClass.FULL:
@@ -399,37 +402,21 @@ def _classification_error(kind: FragmentClass, start: int, length: int, n: int) 
     return False
 
 
-def _run(config: ChannelConfig, workers: int, trace: bool):
+def _run(config: ChannelConfig, trace: bool):
     params = config.code_params
-    n = params.n
-    message = random_message(params, config.seed)
+    seed = config.seed
+    message = random_message(params, seed)
     codeword = construct_codeword(message, params)
     truth = codeword.count_array()
-    probs_cum = np.cumsum(codeword.probability_array(), axis=0)[:-1, :]
-
-    def chunk(bounds: tuple[int, int]) -> list[list[tuple[int, np.ndarray]]]:
-        lo, hi = bounds
-        return [_strand_fragments(probs_cum, params, config, i) for i in range(lo, hi)]
-
-    s = config.strand_count
-    if workers <= 1:
-        per_strand = chunk((0, s))
-    else:
-        step = max(1, math.ceil(s / (workers * 8)))
-        bounds = [(lo, min(lo + step, s)) for lo in range(0, s, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_strand = [item for part in pool.map(chunk, bounds) for item in part]
-
-    pool_starts: list[int] = []
-    pool_frags: list[np.ndarray] = []
-    for pieces in per_strand:
-        for start, frag in pieces:
-            pool_starts.append(start)
-            pool_frags.append(frag)
-
-    k = config.sample_size if config.sample_size is not None else len(pool_frags)
-    idx = _sample_indices(len(pool_frags), k, config.with_replacement, substream(config.seed, LANE_SAMPLE))
-    samples = [pool_frags[i] for i in idx]
+    strands = synthesize(codeword, config.strand_count, seed)
+    pool = [
+        piece
+        for i, strand in enumerate(strands)
+        for piece in apply_breaks_traced(strand, config.break_model, substream(seed, LANE_BREAK, i))
+    ]
+    k = config.sample_size if config.sample_size is not None else len(pool)
+    picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
+    samples = [frag for _, frag in picked]
 
     aligned = align_and_count(samples, params)
     estimated = estimate_matrix(aligned.count_table, params)
@@ -452,18 +439,24 @@ def _run(config: ChannelConfig, workers: int, trace: bool):
         return report, None
 
     stats = TraceStats(sampled_fragments=k, classification_errors=0, true_class_counts={})
-    for i in idx:
-        frag, start = pool_frags[i], pool_starts[i]
+    for start, frag in picked:
         kind = classify_fragment(frag, params)
         stats.true_class_counts[kind.value] = stats.true_class_counts.get(kind.value, 0) + 1
-        if _classification_error(kind, start, len(frag), n):
+        if _classification_error(kind, start, len(frag), params.n):
             stats.classification_errors += 1
     return report, stats
 
 
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
-    """Run the full pipeline; deterministic given the config (incl. seed)."""
-    report, _ = _run(config, workers=workers, trace=False)
+    """Run the full pipeline; deterministic given the config (incl. seed).
+
+    The stages are the public ones, chained: random_message,
+    construct_codeword, synthesize, apply_breaks_traced per strand,
+    sample_fragments, align_and_count, estimate_matrix. `workers` is
+    accepted for compatibility and has no effect; the report is
+    byte-identical at any value.
+    """
+    report, _ = _run(config, trace=False)
     return report
 
 
@@ -473,5 +466,5 @@ def run_experiment_traced(config: ChannelConfig, workers: int = 1) -> tuple[Expe
     The tracing draws no extra randomness, so the report is identical to
     run_experiment's for the same config.
     """
-    report, stats = _run(config, workers=workers, trace=True)
+    report, stats = _run(config, trace=True)
     return report, stats

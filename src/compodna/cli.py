@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to config JSON, or - for stdin")
     p.add_argument("--sweep", action="store_true", help="config holds an array; emit CSV")
     p.add_argument("--seed", type=int, default=None, help=f"override config seed (also {SEED_ENV_VAR})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect on output")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="oracle-equivalence and identity suites")

@@ -107,10 +107,9 @@ def layout(params: MarkerCodeParams) -> LayoutMap:
     Markers occupy [1, ell+2] and [n-ell-1, n]; breakers are the data
     columns j with (j + 2) mod ell == 0; the rest of the data is free.
     """
-    n, ell = params.n, params.ell
-    marker = frozenset(range(1, ell + 3)) | frozenset(range(n - ell - 1, n + 1))
-    data = range(ell + 3, n - ell - 1)
-    breaker = frozenset(j for j in data if (j + 2) % ell == 0)
+    marker = frozenset(_marker_columns(params))
+    data = [j for j in range(1, params.n + 1) if j not in marker]
+    breaker = frozenset(j for j in data if (j + 2) % params.ell == 0)
     free = frozenset(data) - breaker
     return LayoutMap(marker_positions=marker, breaker_positions=breaker, free_positions=free)
 
@@ -122,14 +121,12 @@ def _marker_column(params: MarkerCodeParams, base: int) -> CompositeSymbol:
 
 
 def _marker_columns(params: MarkerCodeParams) -> dict[int, CompositeSymbol]:
-    n, ell = params.n, params.ell
-    anchor = _marker_column(params, params.anchor_base)
-    marker = _marker_column(params, params.marker_base)
+    """Constructed marker-block columns: marker_pattern() laid at both ends."""
+    pattern = params.marker_pattern()
+    offset = params.n - len(pattern)
     cols = {}
-    for j in (1, ell + 2, n - ell - 1, n):
-        cols[j] = anchor
-    for j in list(range(2, ell + 2)) + list(range(n - ell, n)):
-        cols[j] = marker
+    for j, base in enumerate(pattern, start=1):
+        cols[j] = cols[offset + j] = _marker_column(params, base)
     return cols
 
 

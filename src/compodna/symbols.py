@@ -123,11 +123,6 @@ class CompositeMatrix:
         m = cols[0].resolution
         return cls(columns=tuple(cols), params=AlphabetParams(q=q, M=m))
 
-    @classmethod
-    def from_count_array(cls, arr, params: AlphabetParams) -> "CompositeMatrix":
-        cols = tuple(CompositeSymbol(tuple(int(x) for x in arr[:, j])) for j in range(arr.shape[1]))
-        return cls(columns=cols, params=params)
-
 
 def alphabet_size(params: AlphabetParams) -> int:
     """Number of composite symbols: C(M+q-1, q-1), exactly."""

@@ -26,12 +26,14 @@ from compodna import (
     layout,
     message_radices,
     random_message,
+    rank_symbol,
     run_experiment,
     run_experiment_traced,
     sample_fragments,
     substream,
     synthesize,
 )
+from compodna import channel
 from compodna.channel import LANE_BREAK, LANE_SAMPLE
 
 DNA = AlphabetParams(q=4, M=6)
@@ -95,6 +97,41 @@ class TestSynthesize:
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         strands = synthesize(make_codeword(params), 200, seed=1)
         assert strands.min() >= 1 and strands.max() <= 4
+
+
+class _TopUniformGenerator:
+    """Stand-in generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+class TestZeroWeightBases:
+    # (1,4,1,0) at q=4, M=6: summed float probabilities put the last
+    # threshold one ulp below 1, where the top uniform would draw base 4.
+    SYMBOL = CompositeSymbol((1, 4, 1, 0))
+
+    def _assert_no_zero_count_draws(self, matrix, monkeypatch):
+        monkeypatch.setattr(channel, "substream", lambda *args: _TopUniformGenerator())
+        strands = synthesize(matrix, 3, seed=0)
+        counts = matrix.count_array()
+        drawn = counts[strands - 1, np.arange(matrix.n)]
+        assert (drawn > 0).all()
+
+    def test_bare_matrix(self, monkeypatch):
+        matrix = CompositeMatrix(columns=(self.SYMBOL,) * 3, params=DNA)
+        self._assert_no_zero_count_draws(matrix, monkeypatch)
+
+    def test_marker_base_q_layout(self, monkeypatch):
+        # Breaker columns carry zero weight on the marker base, here base q.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3, marker_base=4, anchor_base=1)
+        free = rank_symbol(self.SYMBOL, DNA)
+        breaker = rank_symbol(CompositeSymbol((1, 4, 1)), AlphabetParams(q=3, M=6))
+        lay = layout(params)
+        message = [breaker if j in lay.breaker_positions else free for j in lay.data_positions()]
+        codeword = construct_codeword(message, params)
+        assert all(codeword.columns[j - 1] == self.SYMBOL for j in lay.breaker_positions)
+        self._assert_no_zero_count_draws(codeword, monkeypatch)
 
 
 class TestApplyBreaks:
@@ -356,6 +393,39 @@ class TestRunExperiment:
         assert set(obj["estimated_matrix"].keys()) == {"q", "M", "columns"}
 
 
+class TestPipelineContract:
+    """run_experiment is the public stages chained on the same substreams."""
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    @pytest.mark.parametrize("model", [PerBond(p=0.03), ExactlyT(t=1, bond_range=(5, 55)), AtMostT(t=2)])
+    def test_matches_staged_public_pipeline(self, model, with_replacement):
+        config = make_config(strand_count=600, break_model=model, sample_size=700,
+                             with_replacement=with_replacement, seed=41)
+        params, seed = config.code_params, config.seed
+        codeword = construct_codeword(random_message(params, seed), params)
+        strands = synthesize(codeword, config.strand_count, seed)
+        pool = [
+            piece
+            for i, strand in enumerate(strands)
+            for piece in apply_breaks_traced(strand, model, substream(seed, LANE_BREAK, i))
+        ]
+        picked = sample_fragments(pool, 700, with_replacement, substream(seed, LANE_SAMPLE))
+        aligned = align_and_count([frag for _, frag in picked], params)
+        estimate = estimate_matrix(aligned.count_table, params)
+
+        report = run_experiment(config)
+        assert report.estimated_matrix == estimate
+        errors = int((estimate.count_array() != codeword.count_array()).any(axis=0).sum())
+        coverage = aligned.count_table.sum(axis=0)[[j - 1 for j in layout(params).data_positions()]]
+        assert report.fragments_sampled == 700
+        assert report.discarded_fraction == aligned.tallies[FragmentClass.DISCARD] / 700
+        assert report.marker_only_fraction == aligned.tallies[FragmentClass.MARKER_ONLY] / 700
+        assert report.coverage_min == float(coverage.min())
+        assert report.coverage_mean == float(coverage.mean())
+        assert report.symbol_error_count == errors
+        assert report.exact_recovery == (errors == 0)
+
+
 class TestConfigSerialization:
     def test_roundtrip(self):
         config = make_config(break_model=ExactlyT(t=1, bond_range=(5, 55)), sample_size=77)
@@ -385,3 +455,21 @@ class TestConfigSerialization:
         params = MarkerCodeParams(alphabet=DNA, n=40, ell=3)
         assert random_message(params, seed=1) == random_message(params, seed=1)
         assert random_message(params, seed=1) != random_message(params, seed=2)
+
+    def test_unknown_top_level_key_rejected(self):
+        obj = json.loads(make_config().to_json())
+        obj["sample_sise"] = 10
+        with pytest.raises(ValueError, match="sample_sise"):
+            ChannelConfig.from_json_dict(obj)
+
+    def test_unknown_code_params_key_rejected(self):
+        obj = json.loads(make_config().to_json())
+        obj["code_params"]["marker_bsae"] = 3
+        with pytest.raises(ValueError, match="marker_bsae"):
+            ChannelConfig.from_json_dict(obj)
+
+    def test_unknown_break_model_key_rejected(self):
+        obj = json.loads(make_config(break_model=PerBond(p=0.1)).to_json())
+        obj["break_model"]["t"] = 2  # a field of the other kinds, not of per_bond
+        with pytest.raises(ValueError, match="'t'"):
+            ChannelConfig.from_json_dict(obj)

@@ -206,6 +206,13 @@ class TestSimulate:
         assert code == 1
         assert "error" in err
 
+    def test_config_typo_exit_code(self, capsys, tmp_path):
+        path = self._write_config(tmp_path, sample_sise=10)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "sample_sise" in err
+
     def test_workers_flag_preserves_output(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
         _, serial, _ = run_cli(capsys, "simulate", "--config", str(path))
