@@ -7,6 +7,8 @@ code that positions fragments of singly broken strands, and an end-to-end
 strand-break channel simulator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .symbols import (
     AlphabetParams,
     CompositeMatrix,
@@ -80,69 +82,7 @@ from .channel import (
     synthesize,
 )
 
-__all__ = [
-    "AlphabetParams",
-    "CompositeMatrix",
-    "CompositeSymbol",
-    "alphabet_size",
-    "enumerate_symbols",
-    "largest_remainder_apportion",
-    "quantize_to_symbol",
-    "rank_symbol",
-    "restricted_symbol_count",
-    "unrank_symbol",
-    "BoundReport",
-    "RllParams",
-    "RllUpperBounds",
-    "bound_report",
-    "count_rll_brute",
-    "count_rll_exact",
-    "forbidden_block_count",
-    "is_run_length_limited",
-    "lll_premises_hold",
-    "redundancy_exact",
-    "redundancy_lower_bound",
-    "redundancy_trivial_bound",
-    "redundancy_upper_bounds",
-    "sweep_csv_rows",
-    "verify_summation_identities",
-    "window_count_closed_form",
-    "CodewordCheck",
-    "FragmentClass",
-    "InvalidCodewordError",
-    "LayoutMap",
-    "MarkerCodeParams",
-    "OptimalMarkerLength",
-    "asymptotic_optimal_ell",
-    "classification_interval",
-    "classification_json",
-    "classify_fragment",
-    "code_redundancy_formula",
-    "construct_codeword",
-    "continuous_redundancy",
-    "decode_matrix",
-    "is_valid_codeword",
-    "layout",
-    "measured_code_redundancy",
-    "message_radices",
-    "optimal_marker_length",
-    "AlignmentResult",
-    "AtMostT",
-    "BreakModel",
-    "ChannelConfig",
-    "ExactlyT",
-    "ExperimentReport",
-    "PerBond",
-    "TraceStats",
-    "ZeroCoverageError",
-    "align_and_count",
-    "apply_breaks",
-    "apply_breaks_traced",
-    "estimate_matrix",
-    "random_message",
-    "run_experiment",
-    "run_experiment_traced",
-    "sample_fragments",
-    "substream",
-    "synthesize",
-]
+# The public names are exactly those imported above.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -7,16 +7,26 @@ and K of them sampled, fragments are positioned by their retained marker
 blocks, and the composite matrix is re-estimated from the aligned base
 counts.
 
-Randomness is counter-based (Philox) with one substream per (seed, lane,
-strand index), so results are identical under any execution order or
-degree of parallelism. Strands are arrays of 1-based base indices.
+A pool is held as arrays, not as fragment objects: the (S, n) strand
+matrix of 1-based base indices plus one (strand, start, end) triplet per
+fragment (`FragmentPool`), strand-major. Synthesis, breaking and alignment
+run over blocks of `_BLOCK` strands or fragments, with no per-strand or
+per-fragment Python loop.
+
+Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
+and the message draw each read their own lane: the stream keyed by
+(seed, lane). Strand i's row of w uniforms starts at counter block
+i * ceil(w / 4) of its lane (a block holds four doubles), so any split of
+the strands into calls or blocks reads the same draws, and results are
+identical under any execution order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +34,6 @@ from .marker import (
     FragmentClass,
     MarkerCodeParams,
     _marker_columns,
-    classify_fragment,
     construct_codeword,
     layout,
     message_radices,
@@ -40,13 +49,52 @@ LANE_BREAK = 1
 LANE_SAMPLE = 2
 LANE_MESSAGE = 3
 
+# Strands or fragments per vectorized block: bounds the working set.
+_BLOCK = 256
+
+# Doubles per Philox4x64 counter block.
+_DOUBLES_PER_BLOCK = 4
+
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
-    """Independent Philox stream keyed by (seed, lane, index)."""
+    """Independent Philox stream keyed by (seed, lane, index).
+
+    Index 0 is the lane's own stream, which the batched stages read row by
+    row (see the module docstring). Other indices give independent streams
+    for per-item callers, such as one per strand for apply_breaks.
+    """
     if not 0 <= index < 1 << 60:
         raise ValueError(f"substream index {index} outside [0, 2^60)")
     key = np.array([seed & _MASK64, ((lane << 60) | index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _uniform_rows(seed: int, lane: int, first_index: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row offset, block of uniform rows) covering `count` rows.
+
+    Row i holds the `width` uniforms of strand first_index + i: the lane's
+    stream from counter block (first_index + i) * ceil(width / 4), so a
+    strand's row does not depend on which call or block reads it.
+    """
+    stride = -(-width // _DOUBLES_PER_BLOCK) * _DOUBLES_PER_BLOCK
+    gen = substream(seed, lane)
+    if first_index:
+        gen.bit_generator.advance(first_index * stride // _DOUBLES_PER_BLOCK)
+    for lo in range(0, count, _BLOCK):
+        rows = min(_BLOCK, count - lo)
+        yield lo, gen.random(rows * stride).reshape(rows, stride)[:, :width]
+
+
+def _check_break_count(t: int, bond_range: Optional[tuple[int, int]]) -> None:
+    if t < 0:
+        raise ValueError(f"break count must be >= 0, got {t}")
+    if bond_range is None:
+        return
+    lo, hi = bond_range
+    if lo > hi:
+        raise ValueError(f"bond range ({lo}, {hi}) is empty")
+    if t > hi - lo + 1:
+        raise ValueError(f"cannot place {t} distinct breaks among {hi - lo + 1} bonds")
 
 
 @dataclass(frozen=True)
@@ -72,8 +120,7 @@ class ExactlyT:
     bond_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"break count must be >= 0, got {self.t}")
+        _check_break_count(self.t, self.bond_range)
 
 
 @dataclass(frozen=True)
@@ -84,11 +131,19 @@ class AtMostT:
     bond_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"break count must be >= 0, got {self.t}")
+        _check_break_count(self.t, self.bond_range)
 
 
 BreakModel = Union[PerBond, ExactlyT, AtMostT]
+
+
+def _bond_range(model: Union[ExactlyT, AtMostT], n: int) -> tuple[int, int]:
+    """Candidate bonds (lo, hi) of a t-break model on strands of length n."""
+    lo, hi = model.bond_range if model.bond_range is not None else (1, n - 1)
+    if lo < 1 or hi > n - 1:
+        raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
+    _check_break_count(model.t, (lo, hi))
+    return lo, hi
 
 
 def break_model_to_json_dict(model: BreakModel) -> dict:
@@ -131,7 +186,8 @@ class ChannelConfig:
     """One end-to-end experiment: code, strand count, breaks, sampling, seed.
 
     `sample_size` None means "sample the whole pool". Sampling defaults to
-    without replacement.
+    without replacement. A t-break model's bond range is checked against
+    the code length here, before any strand is drawn.
     """
 
     code_params: MarkerCodeParams
@@ -146,6 +202,8 @@ class ChannelConfig:
             raise ValueError(f"strand_count must be >= 1, got {self.strand_count}")
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {self.sample_size}")
+        if not isinstance(self.break_model, PerBond):
+            _bond_range(self.break_model, self.code_params.n)
 
     def to_json_dict(self) -> dict:
         cp = self.code_params
@@ -201,62 +259,122 @@ class ChannelConfig:
 def synthesize(matrix: CompositeMatrix, count: int, seed: int, first_index: int = 0) -> np.ndarray:
     """Draw `count` i.i.d. strands from the matrix's column distributions.
 
-    Returns a (count, n) array of 1-based base indices. Strand i uses
-    substream(seed, LANE_SYNTH, first_index + i), so pools are identical
-    however the work is split.
+    Returns a (count, n) array of 1-based base indices. Strand i reads row
+    first_index + i of the synthesis lane, so pools are identical however
+    the work is split.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     # Integer cumsum, then one division: the last threshold is exactly 1.0
     # and a zero-count base gets an empty interval, so it is never drawn.
     cum = (np.cumsum(matrix.count_array(), axis=0) / matrix.params.M)[:-1, :]
-    n = matrix.n
-    strands = np.empty((count, n), dtype=np.int16)
-    for i in range(count):
-        u = substream(seed, LANE_SYNTH, first_index + i).random(n)
-        strands[i] = 1 + (u[None, :] >= cum).sum(axis=0)
+    strands = np.ones((count, matrix.n), dtype=np.int16)
+    for lo, u in _uniform_rows(seed, LANE_SYNTH, first_index, count, matrix.n):
+        block = strands[lo : lo + len(u)]
+        for threshold in cum:
+            block += u >= threshold
     return strands
 
 
-def _cut_bonds(n: int, model: BreakModel, rng: np.random.Generator) -> np.ndarray:
+def _break_width(model: BreakModel, n: int) -> int:
+    """Uniforms per strand: one per bond, or AtMostT's count draw (unused by
+    ExactlyT) plus t Floyd draws."""
+    return n - 1 if isinstance(model, PerBond) else model.t + 1
+
+
+def _cut_mask(u: np.ndarray, n: int, model: BreakModel) -> np.ndarray:
+    """The cut core: uniform rows -> (rows, n) mask of fragment start columns.
+
+    Column 0 always starts a fragment; column b (0-based) starts one when
+    bond b, between 1-based columns b and b+1, breaks. t-break models place
+    their bonds by Floyd's sampling of distinct values, vectorized over
+    rows: u[:, 0] draws AtMostT's count, u[:, 1 + s] step s's candidate.
+    """
+    rows = len(u)
+    mask = np.zeros((rows, n), dtype=bool)
+    mask[:, 0] = True
     if isinstance(model, PerBond):
-        return 1 + np.nonzero(rng.random(n - 1) < model.p)[0]
-    lo, hi = model.bond_range if model.bond_range is not None else (1, n - 1)
-    if not 1 <= lo <= hi <= n - 1:
-        raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
-    available = hi - lo + 1
-    t = model.t
-    if isinstance(model, AtMostT):
-        t = int(rng.integers(0, model.t + 1))
-    if t > available:
-        raise ValueError(f"cannot place {t} distinct breaks among {available} bonds")
-    if t == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(np.arange(lo, hi + 1), size=t, replace=False))
+        mask[:, 1:] = u < model.p
+        return mask
+    lo, hi = _bond_range(model, n)
+    span, t = hi - lo + 1, model.t
+    counts = t if isinstance(model, ExactlyT) else np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
+    row = np.arange(rows)
+    # Floyd: for j = span-c .. span-1 pick r uniform in [0, j]; take j if r is
+    # taken. A row drawing c < t bonds skips the first t-c steps by setting
+    # column 0, which always starts a fragment.
+    for step in range(t):
+        j = span - t + step
+        pick = lo + np.minimum((u[:, 1 + step] * (j + 1)).astype(np.intp), j)
+        pick = np.where(mask[row, pick], lo + j, pick)
+        mask[row, np.where(step >= t - counts, pick, 0)] = True
+    return mask
 
 
-def apply_breaks(strand: np.ndarray, model: BreakModel, rng: np.random.Generator) -> list[np.ndarray]:
-    """Split a strand at stochastic bond positions; fragments partition it in order."""
-    bonds = _cut_bonds(len(strand), model, rng)
-    return np.split(np.asarray(strand), bonds)
+@dataclass(frozen=True, eq=False)
+class FragmentPool:
+    """Fragments as parallel int32 arrays: strand row, first and last column.
+
+    Columns are 1-based and inclusive. break_strands lists each strand's
+    fragments left to right, strands in order.
+    """
+
+    strand: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.strand)
+
+    def __getitem__(self, idx) -> "FragmentPool":
+        return FragmentPool(self.strand[idx], self.start[idx], self.end[idx])
+
+
+def break_strands(n: int, model: BreakModel, count: int, seed: int, first_index: int = 0) -> FragmentPool:
+    """Break `count` strands of length n; the fragments of all of them.
+
+    Strand i (the pool's strand row i) reads row first_index + i of the
+    break lane, matching synthesize's strand numbering.
+    """
+    if count < 1:
+        raise ValueError(f"strand count must be >= 1, got {count}")
+    strand_parts, start_parts = [], []
+    for lo, u in _uniform_rows(seed, LANE_BREAK, first_index, count, _break_width(model, n)):
+        rows, cols = np.nonzero(_cut_mask(u, n, model))
+        strand_parts.append((rows + lo).astype(np.int32))
+        start_parts.append(cols.astype(np.int32))
+    strand, start0 = np.concatenate(strand_parts), np.concatenate(start_parts)
+    # A fragment ends (1-based) where the strand's next one starts (0-based).
+    end = np.full_like(start0, n)
+    end[:-1] = np.where(start0[1:] == 0, n, start0[1:])
+    return FragmentPool(strand=strand, start=start0 + 1, end=end)
 
 
 def apply_breaks_traced(
     strand: np.ndarray, model: BreakModel, rng: np.random.Generator
 ) -> list[tuple[int, np.ndarray]]:
-    """Test-mode variant of apply_breaks: pairs each fragment with its true
-    1-based start column. Draws the same randomness as apply_breaks."""
-    bonds = _cut_bonds(len(strand), model, rng)
-    pieces = np.split(np.asarray(strand), bonds)
-    starts = [1] + [int(b) + 1 for b in bonds]
-    return list(zip(starts, pieces))
+    """Split a strand at stochastic bonds; (1-based start column, fragment) pairs.
+
+    Draws one row of the cut core's uniforms from `rng`.
+    """
+    strand = np.asarray(strand)
+    n = len(strand)
+    starts = np.nonzero(_cut_mask(rng.random(_break_width(model, n))[None, :], n, model)[0])[0]
+    return [(int(s) + 1, piece) for s, piece in zip(starts, np.split(strand, starts[1:]))]
 
 
-def sample_fragments(pool: Sequence, k: int, with_replacement: bool, rng: np.random.Generator) -> list:
+def apply_breaks(strand: np.ndarray, model: BreakModel, rng: np.random.Generator) -> list[np.ndarray]:
+    """Split a strand at stochastic bond positions; fragments partition it in order."""
+    return [piece for _, piece in apply_breaks_traced(strand, model, rng)]
+
+
+def sample_fragments(
+    pool: Union[FragmentPool, Sequence], k: int, with_replacement: bool, rng: np.random.Generator
+) -> Union[FragmentPool, list]:
     """Uniformly sample k pool items, in randomized order.
 
-    The items are usually fragments; run_experiment samples (start, fragment)
-    pairs so that traced runs keep each fragment's true start column.
+    A FragmentPool gives a FragmentPool of the sampled triplets; any other
+    sequence gives a list of its sampled items.
     """
     size = len(pool)
     if size < 1:
@@ -269,15 +387,75 @@ def sample_fragments(pool: Sequence, k: int, with_replacement: bool, rng: np.ran
         if k > size:
             raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
         idx = rng.permutation(size)[:k]
+    if isinstance(pool, FragmentPool):
+        return pool[idx]
     return [pool[i] for i in idx]
+
+
+# Class codes: indices into tuple(FragmentClass). Full, Prefix and Suffix,
+# the classes that align, come first.
+_CLASSES = tuple(FragmentClass)
+_FULL, _PREFIX, _SUFFIX, _MARKER_ONLY, _DISCARD = range(len(_CLASSES))
 
 
 @dataclass
 class AlignmentResult:
-    """Per-position base counts and per-class fragment tallies."""
+    """Per-position base counts and per-class fragment tallies.
+
+    `classes` holds each fragment's class, in input order, as an index
+    into tuple(FragmentClass).
+    """
 
     count_table: np.ndarray  # (q, n) int64
     tallies: dict[FragmentClass, int]
+    classes: np.ndarray  # int8
+
+
+def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> AlignmentResult:
+    """The classify/count core over fragments flat[offsets[i] : offsets[i] + lengths[i]].
+
+    Head and tail windows are compared against marker_pattern(), with the
+    rules of classify_fragment; fragments longer than n are discarded.
+    Prefixes and full strands anchor at column 1, suffixes at column n,
+    and the aligned bases of a block accumulate in one bincount over
+    (base, column).
+    """
+    q, n = params.q, params.n
+    pattern = np.asarray(params.marker_pattern())
+    span = len(pattern)
+    window = np.arange(span)
+    classes = np.empty(len(offsets), dtype=np.int8)
+    table = np.zeros(q * n, dtype=np.int64)
+    for lo in range(0, len(offsets), _BLOCK):
+        off, length = offsets[lo : lo + _BLOCK], lengths[lo : lo + _BLOCK]
+        fits = np.nonzero((length >= span) & (length <= n))[0]
+        starts = np.zeros(len(off), dtype=bool)
+        ends = np.zeros(len(off), dtype=bool)
+        starts[fits] = (flat[off[fits, None] + window] == pattern).all(axis=1)
+        ends[fits] = (flat[(off[fits] + length[fits] - span)[:, None] + window] == pattern).all(axis=1)
+        kind = np.full(len(off), _DISCARD, dtype=np.int8)
+        kind[ends] = _SUFFIX
+        kind[starts] = _PREFIX
+        both = starts & ends
+        kind[both] = np.where(length[both] == n, _FULL, _DISCARD)
+        kind[starts & (length == span)] = _MARKER_ONLY
+        classes[lo : lo + len(off)] = kind
+
+        usable = kind <= _SUFFIX
+        size = length[usable]
+        if not len(size):
+            continue
+        first = np.cumsum(size) - size  # each fragment's first slot among the block's aligned bases
+        column0 = np.where(kind[usable] == _SUFFIX, n - size, 0)
+        slot = np.arange(int(size.sum()))
+        bases = flat[slot + np.repeat(off[usable] - first, size)].astype(np.intp)
+        table += np.bincount((bases - 1) * n + slot + np.repeat(column0 - first, size), minlength=q * n)
+    tallies = np.bincount(classes, minlength=len(_CLASSES))
+    return AlignmentResult(
+        count_table=table.reshape(q, n),
+        tallies={kind: int(c) for kind, c in zip(_CLASSES, tallies)},
+        classes=classes,
+    )
 
 
 def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> AlignmentResult:
@@ -287,24 +465,16 @@ def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> 
     everything; marker-only and discarded fragments (including any longer
     than n, which cannot be positioned) contribute nothing.
     """
-    q, n = params.q, params.n
-    table = np.zeros((q, n), dtype=np.int64)
-    tallies = {kind: 0 for kind in FragmentClass}
-    for frag in samples:
-        frag = np.asarray(frag)
-        if len(frag) > n:
-            kind = FragmentClass.DISCARD
-        else:
-            kind = classify_fragment(frag, params)
-        tallies[kind] += 1
-        if kind is FragmentClass.FULL or kind is FragmentClass.PREFIX:
-            start0 = 0
-        elif kind is FragmentClass.SUFFIX:
-            start0 = n - len(frag)
-        else:
-            continue
-        np.add.at(table, (frag - 1, np.arange(start0, start0 + len(frag))), 1)
-    return AlignmentResult(count_table=table, tallies=tallies)
+    frags = [np.asarray(frag) for frag in samples]
+    lengths = np.array([len(frag) for frag in frags], dtype=np.intp)
+    flat = np.concatenate(frags) if frags else np.empty(0, dtype=np.int16)
+    return _align(flat, np.cumsum(lengths) - lengths, lengths, params)
+
+
+def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeParams) -> AlignmentResult:
+    """align_and_count for fragments held as triplets into the strand matrix."""
+    offsets = fragments.strand.astype(np.intp) * strands.shape[1] + fragments.start - 1
+    return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params)
 
 
 class ZeroCoverageError(ValueError):
@@ -376,11 +546,19 @@ class ExperimentReport:
 
 @dataclass
 class TraceStats:
-    """Ground-truth bookkeeping from a traced run (test mode only)."""
+    """Ground-truth bookkeeping from a traced run (test mode only).
+
+    A sampled fragment's true class is positional: Full if it runs from
+    column 1 to column n, Prefix if it starts at column 1, Suffix if it
+    ends at column n, Discard otherwise. `confusion[true][predicted]`
+    counts sampled fragments by true class and classifier output; a
+    classification error is an output its true position contradicts.
+    """
 
     sampled_fragments: int
     classification_errors: int
     true_class_counts: dict[str, int]
+    confusion: dict[str, dict[str, int]]
 
 
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
@@ -389,36 +567,41 @@ def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     return [int(gen.integers(0, radix)) for radix in message_radices(params)]
 
 
-def _classification_error(kind: FragmentClass, start: int, length: int, n: int) -> bool:
-    end = start + length - 1
-    if kind is FragmentClass.FULL:
-        return length != n
-    if kind is FragmentClass.PREFIX:
-        return start != 1
-    if kind is FragmentClass.SUFFIX:
-        return end != n
-    if kind is FragmentClass.MARKER_ONLY:
-        return not (start == 1 or end == n)
-    return False
+def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:
+    at_start, at_end = picked.start == 1, picked.end == n
+    true = np.full(len(picked), _DISCARD, dtype=np.intp)
+    true[at_end] = _SUFFIX
+    true[at_start] = _PREFIX
+    true[at_start & at_end] = _FULL
+    wrong = (
+        ((predicted == _FULL) & ~(at_start & at_end))
+        | ((predicted == _PREFIX) & ~at_start)
+        | ((predicted == _SUFFIX) & ~at_end)
+        | ((predicted == _MARKER_ONLY) & ~(at_start | at_end))
+    )
+    k = len(_CLASSES)
+    confusion = np.bincount(true * k + predicted, minlength=k * k).reshape(k, k)
+    names = [kind.value for kind in _CLASSES]
+    return TraceStats(
+        sampled_fragments=len(picked),
+        classification_errors=int(wrong.sum()),
+        true_class_counts={names[t]: int(confusion[t].sum()) for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)},
+        confusion={
+            names[t]: {name: int(c) for name, c in zip(names, confusion[t])} for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)
+        },
+    )
 
 
 def _run(config: ChannelConfig, trace: bool):
-    params = config.code_params
-    seed = config.seed
-    message = random_message(params, seed)
-    codeword = construct_codeword(message, params)
+    params, seed, count = config.code_params, config.seed, config.strand_count
+    codeword = construct_codeword(random_message(params, seed), params)
     truth = codeword.count_array()
-    strands = synthesize(codeword, config.strand_count, seed)
-    pool = [
-        piece
-        for i, strand in enumerate(strands)
-        for piece in apply_breaks_traced(strand, config.break_model, substream(seed, LANE_BREAK, i))
-    ]
+    strands = synthesize(codeword, count, seed)
+    pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
     picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
-    samples = [frag for _, frag in picked]
 
-    aligned = align_and_count(samples, params)
+    aligned = align_pool(strands, picked, params)
     estimated = estimate_matrix(aligned.count_table, params)
     est_counts = estimated.count_array()
     errors = int((est_counts != truth).any(axis=0).sum())
@@ -437,24 +620,16 @@ def _run(config: ChannelConfig, trace: bool):
     )
     if not trace:
         return report, None
-
-    stats = TraceStats(sampled_fragments=k, classification_errors=0, true_class_counts={})
-    for start, frag in picked:
-        kind = classify_fragment(frag, params)
-        stats.true_class_counts[kind.value] = stats.true_class_counts.get(kind.value, 0) + 1
-        if _classification_error(kind, start, len(frag), params.n):
-            stats.classification_errors += 1
-    return report, stats
+    return report, _trace_stats(picked, aligned.classes, params.n)
 
 
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
     The stages are the public ones, chained: random_message,
-    construct_codeword, synthesize, apply_breaks_traced per strand,
-    sample_fragments, align_and_count, estimate_matrix. `workers` is
-    accepted for compatibility and has no effect; the report is
-    byte-identical at any value.
+    construct_codeword, synthesize, break_strands, sample_fragments,
+    align_pool, estimate_matrix. `workers` is accepted for compatibility
+    and has no effect; the report is byte-identical at any value.
     """
     report, _ = _run(config, trace=False)
     return report

@@ -34,7 +34,7 @@ from compodna import (
     synthesize,
 )
 from compodna import channel
-from compodna.channel import LANE_BREAK, LANE_SAMPLE
+from compodna.channel import LANE_BREAK, LANE_SAMPLE, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
 
@@ -85,7 +85,7 @@ class TestSynthesize:
         assert (a == b).all()
 
     def test_split_invocation_matches_single_call(self):
-        # per-strand substreams: synthesizing in two halves gives the same pool
+        # counter-addressed strand rows: synthesizing in two halves gives the same pool
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         cw = make_codeword(params)
         whole = synthesize(cw, 40, seed=21)
@@ -394,7 +394,7 @@ class TestRunExperiment:
 
 
 class TestPipelineContract:
-    """run_experiment is the public stages chained on the same substreams."""
+    """run_experiment is the public stages chained on the same lanes."""
 
     @pytest.mark.parametrize("with_replacement", [False, True])
     @pytest.mark.parametrize("model", [PerBond(p=0.03), ExactlyT(t=1, bond_range=(5, 55)), AtMostT(t=2)])
@@ -404,13 +404,9 @@ class TestPipelineContract:
         params, seed = config.code_params, config.seed
         codeword = construct_codeword(random_message(params, seed), params)
         strands = synthesize(codeword, config.strand_count, seed)
-        pool = [
-            piece
-            for i, strand in enumerate(strands)
-            for piece in apply_breaks_traced(strand, model, substream(seed, LANE_BREAK, i))
-        ]
+        pool = break_strands(params.n, model, config.strand_count, seed)
         picked = sample_fragments(pool, 700, with_replacement, substream(seed, LANE_SAMPLE))
-        aligned = align_and_count([frag for _, frag in picked], params)
+        aligned = align_pool(strands, picked, params)
         estimate = estimate_matrix(aligned.count_table, params)
 
         report = run_experiment(config)
@@ -424,6 +420,96 @@ class TestPipelineContract:
         assert report.coverage_mean == float(coverage.mean())
         assert report.symbol_error_count == errors
         assert report.exact_recovery == (errors == 0)
+
+        # The triplets name the same fragments the list-of-fragments stage counts.
+        listed = align_and_count(
+            [strands[s, a - 1 : b] for s, a, b in zip(picked.strand, picked.start, picked.end)], params
+        )
+        assert (listed.count_table == aligned.count_table).all()
+        assert listed.tallies == aligned.tallies
+
+
+class TestBondRangeValidation:
+    """t-break models are checked when built, not per strand mid-run."""
+
+    def test_config_rejects_range_beyond_code_length(self):
+        for bond_range in ((0, 70), (5, 70), (0, 10)):
+            with pytest.raises(ValueError, match="outside"):
+                make_config(n=60, break_model=ExactlyT(t=1, bond_range=bond_range))
+
+    def test_config_rejects_more_breaks_than_bonds(self):
+        with pytest.raises(ValueError, match="cannot place"):
+            make_config(n=60, break_model=ExactlyT(t=60))
+        with pytest.raises(ValueError, match="cannot place"):
+            make_config(n=60, break_model=AtMostT(t=60))
+
+    def test_models_reject_empty_or_overfull_range(self):
+        for kind in (ExactlyT, AtMostT):
+            with pytest.raises(ValueError, match="empty"):
+                kind(t=1, bond_range=(9, 3))
+            with pytest.raises(ValueError, match="cannot place"):
+                kind(t=3, bond_range=(5, 6))
+
+    def test_simulate_exits_before_synthesis(self, tmp_path, monkeypatch, capsys):
+        from compodna.cli import main
+
+        obj = json.loads(make_config(n=60).to_json())
+        obj["break_model"] = {"kind": "exactly_t", "t": 1, "bond_range": [0, 70]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesize ran before the config was rejected")
+
+        monkeypatch.setattr(channel, "synthesize", no_synthesis)
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "bond range (0, 70) outside [1, 59]" in capsys.readouterr().err
+
+
+class TestTraceStats:
+    def _traced(self, model, seed=3, strand_count=2000):
+        config = make_config(n=60, strand_count=strand_count, break_model=model, seed=seed)
+        params = config.code_params
+        report, stats = run_experiment_traced(config)
+        codeword = construct_codeword(random_message(params, seed), params)
+        strands = synthesize(codeword, strand_count, seed)
+        pool = break_strands(params.n, model, strand_count, seed)
+        picked = sample_fragments(pool, len(pool), False, substream(seed, LANE_SAMPLE))
+        return stats, picked, align_pool(strands, picked, params)
+
+    @pytest.mark.parametrize("model", [PerBond(p=0.05), ExactlyT(t=2), AtMostT(t=3),
+                                       ExactlyT(t=1, bond_range=(5, 55))])
+    def test_confusion_margins(self, model):
+        stats, picked, aligned = self._traced(model)
+        assert sum(stats.true_class_counts.values()) == stats.sampled_fragments == len(picked)
+        for true, row in stats.confusion.items():
+            assert sum(row.values()) == stats.true_class_counts[true]
+        for kind in FragmentClass:
+            assert sum(row[kind.value] for row in stats.confusion.values()) == aligned.tallies[kind]
+
+    def test_true_classes_are_positional(self):
+        stats, picked, aligned = self._traced(PerBond(p=0.05))
+        first, last = picked.start == 1, picked.end == 60
+        assert stats.true_class_counts == {
+            "Full": int((first & last).sum()),
+            "Prefix": int((first & ~last).sum()),
+            "Suffix": int((~first & last).sum()),
+            "Discard": int((~first & ~last).sum()),
+        }
+        # Short end pieces are discarded by the classifier but are true
+        # prefixes and suffixes, so the two Discard counts differ.
+        assert stats.true_class_counts["Discard"] != aligned.tallies[FragmentClass.DISCARD]
+
+    def test_errors_are_contradicted_predictions(self):
+        stats, _, _ = self._traced(PerBond(p=0.05))
+        c = stats.confusion
+        contradicted = (
+            sum(c[t]["Full"] for t in ("Prefix", "Suffix", "Discard"))
+            + sum(c[t]["Prefix"] for t in ("Suffix", "Discard"))
+            + sum(c[t]["Suffix"] for t in ("Prefix", "Discard"))
+            + c["Discard"]["MarkerOnly"]
+        )
+        assert stats.classification_errors == contradicted == 0
 
 
 class TestConfigSerialization:
