@@ -330,16 +330,16 @@ class FragmentPool:
         return FragmentPool(self.strand[idx], self.start[idx], self.end[idx])
 
 
-def break_strands(n: int, model: BreakModel, count: int, seed: int, first_index: int = 0) -> FragmentPool:
+def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentPool:
     """Break `count` strands of length n; the fragments of all of them.
 
-    Strand i (the pool's strand row i) reads row first_index + i of the
-    break lane, matching synthesize's strand numbering.
+    Strand i (the pool's strand row i) reads row i of the break lane, so
+    the first m strands break the same way whatever `count` is.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     strand_parts, start_parts = [], []
-    for lo, u in _uniform_rows(seed, LANE_BREAK, first_index, count, _break_width(model, n)):
+    for lo, u in _uniform_rows(seed, LANE_BREAK, 0, count, _break_width(model, n)):
         rows, cols = np.nonzero(_cut_mask(u, n, model))
         strand_parts.append((rows + lo).astype(np.int32))
         start_parts.append(cols.astype(np.int32))
@@ -573,18 +573,19 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
     true[at_end] = _SUFFIX
     true[at_start] = _PREFIX
     true[at_start & at_end] = _FULL
-    wrong = (
-        ((predicted == _FULL) & ~(at_start & at_end))
-        | ((predicted == _PREFIX) & ~at_start)
-        | ((predicted == _SUFFIX) & ~at_end)
-        | ((predicted == _MARKER_ONLY) & ~(at_start | at_end))
-    )
     k = len(_CLASSES)
     confusion = np.bincount(true * k + predicted, minlength=k * k).reshape(k, k)
+    # Contradicted cells: a predicted marker the fragment's true position lacks.
+    errors = (
+        confusion[[_PREFIX, _SUFFIX, _DISCARD], _FULL].sum()
+        + confusion[[_SUFFIX, _DISCARD], _PREFIX].sum()
+        + confusion[[_PREFIX, _DISCARD], _SUFFIX].sum()
+        + confusion[_DISCARD, _MARKER_ONLY]
+    )
     names = [kind.value for kind in _CLASSES]
     return TraceStats(
         sampled_fragments=len(picked),
-        classification_errors=int(wrong.sum()),
+        classification_errors=int(errors),
         true_class_counts={names[t]: int(confusion[t].sum()) for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)},
         confusion={
             names[t]: {name: int(c) for name, c in zip(names, confusion[t])} for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)

@@ -511,6 +511,39 @@ class TestTraceStats:
         )
         assert stats.classification_errors == contradicted == 0
 
+    def test_each_contradicted_cell_counts_once(self):
+        # One fragment per true class on a strand of length 10, against
+        # every predicted class: an error is a predicted marker end the
+        # fragment's true position lacks.
+        spans = {"Full": (1, 10), "Prefix": (1, 5), "Suffix": (6, 10), "Discard": (3, 7)}
+        for true, (start, end) in spans.items():
+            for code, kind in enumerate(FragmentClass):
+                picked = channel.FragmentPool(np.zeros(1, np.int32), np.array([start], np.int32),
+                                              np.array([end], np.int32))
+                stats = channel._trace_stats(picked, np.array([code], np.int8), 10)
+                expected = {
+                    FragmentClass.FULL: (start, end) != (1, 10),
+                    FragmentClass.PREFIX: start != 1,
+                    FragmentClass.SUFFIX: end != 10,
+                    FragmentClass.MARKER_ONLY: start != 1 and end != 10,
+                    FragmentClass.DISCARD: False,
+                }[kind]
+                assert stats.classification_errors == int(expected), (true, kind)
+                assert stats.confusion[true][kind.value] == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_data_break_is_never_discarded(self, seed):
+        # Acceptance 8's config. One break on a data bond leaves a prefix and
+        # a suffix, so no fragment is truly Discard; the classifier must not
+        # discard any either.
+        params = MarkerCodeParams(alphabet=DNA, n=100, ell=3)
+        config = make_config(n=100, strand_count=10_000, seed=seed,
+                             break_model=ExactlyT(t=1, bond_range=(params.ell + 2, params.n - params.ell - 2)))
+        report, stats = run_experiment_traced(config)
+        assert sum(row["Discard"] for row in stats.confusion.values()) == 0
+        assert report.discarded_fraction == 0.0
+        assert stats.classification_errors == 0
+
 
 class TestConfigSerialization:
     def test_roundtrip(self):
