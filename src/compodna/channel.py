@@ -593,7 +593,8 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
     )
 
 
-def _run(config: ChannelConfig, trace: bool):
+def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndarray]:
+    """The pipeline: the report, the sampled pool and its predicted class codes."""
     params, seed, count = config.code_params, config.seed, config.strand_count
     codeword = construct_codeword(random_message(params, seed), params)
     truth = codeword.count_array()
@@ -619,9 +620,7 @@ def _run(config: ChannelConfig, trace: bool):
         exact_recovery=errors == 0,
         estimated_matrix=estimated,
     )
-    if not trace:
-        return report, None
-    return report, _trace_stats(picked, aligned.classes, params.n)
+    return report, picked, aligned.classes
 
 
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
@@ -632,15 +631,14 @@ def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     align_pool, estimate_matrix. `workers` is accepted for compatibility
     and has no effect; the report is byte-identical at any value.
     """
-    report, _ = _run(config, trace=False)
-    return report
+    return _run(config)[0]
 
 
-def run_experiment_traced(config: ChannelConfig, workers: int = 1) -> tuple[ExperimentReport, TraceStats]:
+def run_experiment_traced(config: ChannelConfig) -> tuple[ExperimentReport, TraceStats]:
     """run_experiment plus ground-truth classification checks (test mode).
 
     The tracing draws no extra randomness, so the report is identical to
     run_experiment's for the same config.
     """
-    report, stats = _run(config, trace=True)
-    return report, stats
+    report, picked, classes = _run(config)
+    return report, _trace_stats(picked, classes, config.code_params.n)

@@ -133,16 +133,12 @@ SIMULATE_CSV_HEADER = (
 
 def _simulate_csv_row(config: channel.ChannelConfig, report: channel.ExperimentReport) -> str:
     cp = config.code_params
-    model = config.break_model
-    if isinstance(model, channel.PerBond):
-        kind, param, lo, hi = "per_bond", f"{model.p:.12g}", "", ""
-    else:
-        kind = "exactly_t" if isinstance(model, channel.ExactlyT) else "at_most_t"
-        param = str(model.t)
-        lo, hi = ("", "") if model.bond_range is None else (str(model.bond_range[0]), str(model.bond_range[1]))
+    model = channel.break_model_to_json_dict(config.break_model)
+    param = f"{model['p']:.12g}" if "p" in model else model["t"]
+    lo, hi = model.get("bond_range", ("", ""))
     return (
         f"{config.seed},{cp.q},{cp.M},{cp.n},{cp.ell},{cp.marker_base},{cp.anchor_base},"
-        f"{config.strand_count},{kind},{param},{lo},{hi},"
+        f"{config.strand_count},{model['kind']},{param},{lo},{hi},"
         f"{'' if config.sample_size is None else config.sample_size},"
         f"{'true' if config.with_replacement else 'false'},{report.fragments_sampled},"
         f"{report.discarded_fraction:.12g},{report.marker_only_fraction:.12g},"

@@ -233,16 +233,16 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     return message
 
 
-def _breaker_cost(params: MarkerCodeParams) -> float:
-    Q = params.total_symbols()
-    R = params.restricted_symbols()
-    return math.log(Q / (Q - R), Q)
+def _breaker_cost(alphabet: AlphabetParams) -> float:
+    """log_Q(Q/(Q-R)) symbols per breaker; R is the same for every excluded base."""
+    Q = alphabet_size(alphabet)
+    return math.log(Q / (Q - restricted_symbol_count(alphabet, 1)), Q)
 
 
 def code_redundancy_formula(params: MarkerCodeParams) -> float:
     """Redundancy 2l + 4 + floor((n - 2(l+2))/l) log_Q(Q/(Q-R)), in symbols."""
     n, ell = params.n, params.ell
-    return 2 * ell + 4 + ((n - 2 * (ell + 2)) // ell) * _breaker_cost(params)
+    return 2 * ell + 4 + ((n - 2 * (ell + 2)) // ell) * _breaker_cost(params.alphabet)
 
 
 def measured_code_redundancy(params: MarkerCodeParams) -> float:
@@ -252,7 +252,7 @@ def measured_code_redundancy(params: MarkerCodeParams) -> float:
     predicate may place one more breaker than the floor term accounts for.
     """
     lay = layout(params)
-    return 2 * (params.ell + 2) + len(lay.breaker_positions) * _breaker_cost(params)
+    return 2 * (params.ell + 2) + len(lay.breaker_positions) * _breaker_cost(params.alphabet)
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,7 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
     if n < 9:
         raise ValueError(f"need n >= 9, got {n}")
     alphabet = AlphabetParams(q=q, M=M)
-    Q = alphabet_size(alphabet)
-    R = restricted_symbol_count(alphabet, 1)
-    lam = math.log(Q / (Q - R), Q)
+    lam = _breaker_cost(alphabet)
     ell_formula = math.sqrt((n - 4) / 2 * lam)
     red_opt = 4 + 2 * math.sqrt(2 * (n - 4) * lam) - 2 * lam
 
@@ -291,10 +289,7 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
 
 def continuous_redundancy(q: int, M: int, n: int, ell: float) -> float:
     """Floor-free redundancy relaxation 2l + 4 + ((n-4)/l - 2) log_Q(Q/(Q-R))."""
-    alphabet = AlphabetParams(q=q, M=M)
-    Q = alphabet_size(alphabet)
-    R = restricted_symbol_count(alphabet, 1)
-    lam = math.log(Q / (Q - R), Q)
+    lam = _breaker_cost(AlphabetParams(q=q, M=M))
     return 2 * ell + 4 + ((n - 4) / ell - 2) * lam
 
 

@@ -189,6 +189,8 @@ def test_criterion_8_single_break_recovery():
             failures.append(f"seed {seed}: {stats.classification_errors} misclassifications")
         if stats.true_class_counts.get("Discard", 0) != 0:
             failures.append(f"seed {seed}: unexpected discards")
+        if report.discarded_fraction != 0:
+            failures.append(f"seed {seed}: {report.discarded_fraction:g} of fragments discarded")
         if not report.exact_recovery:
             failures.append(f"seed {seed}: recovery failed ({report.symbol_error_count} errors)")
     elapsed = time.perf_counter() - start

@@ -177,11 +177,8 @@ class TestApplyBreaks:
 
     def test_per_bond_mean_fragments_within_3_sigma(self):
         n, s, p = 100, 100_000, 0.01
-        params = MarkerCodeParams(alphabet=DNA, n=n, ell=3)
-        strand = synthesize(make_codeword(params), 1, seed=1)[0]
-        total_breaks = 0
-        for i in range(s):
-            total_breaks += len(apply_breaks(strand, PerBond(p=p), substream(17, LANE_BREAK, i))) - 1
+        # one break_strands call over the lane; each strand adds one fragment per break
+        total_breaks = len(break_strands(n, PerBond(p=p), s, seed=17)) - s
         mean = (n - 1) * p
         sigma = math.sqrt(s * (n - 1) * p * (1 - p))
         assert abs(total_breaks - s * mean) <= 3 * sigma

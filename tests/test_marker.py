@@ -23,6 +23,7 @@ from compodna import (
     construct_codeword,
     continuous_redundancy,
     decode_matrix,
+    estimate_matrix,
     is_valid_codeword,
     layout,
     measured_code_redundancy,
@@ -163,6 +164,15 @@ class TestConstruct:
         cw = construct_codeword(message, params)
         assert is_valid_codeword(cw, params)
         assert decode_matrix(cw, params) == message
+
+    @given(params_and_message())
+    @settings(max_examples=300)
+    def test_estimate_recovers_codeword_varied_roles(self, pm):
+        # marker, anchor and breaker roles over every base, marker_base = q included
+        params, message = pm
+        cw = construct_codeword(message, params)
+        for k in (1, 7):
+            assert estimate_matrix(k * cw.count_array(), params) == cw
 
     def test_exhaustive_roundtrip_over_small_message_space(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=3, M=2), n=13, ell=2)
