@@ -149,15 +149,22 @@ def _simulate_csv_row(config: channel.ChannelConfig, report: channel.ExperimentR
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     configs = _load_configs(args)
-    if args.sweep:
-        print(SIMULATE_CSV_HEADER)
-        for config in configs:
-            report = channel.run_experiment(config, workers=args.workers)
-            print(_simulate_csv_row(config, report))
-    else:
+    if not args.sweep:
         report = channel.run_experiment(configs[0], workers=args.workers)
         print(report.to_json())
-    return 0
+        return 0
+    # A failed config is reported and skipped; the sweep still runs the rest.
+    print(SIMULATE_CSV_HEADER)
+    failed = 0
+    for index, config in enumerate(configs):
+        try:
+            report = channel.run_experiment(config, workers=args.workers)
+        except ValueError as exc:
+            print(f"error: config {index}: {exc}", file=sys.stderr)
+            failed += 1
+            continue
+        print(_simulate_csv_row(config, report))
+    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--brute", action="store_true", help="use the exhaustive oracle instead of the DP")
+    p.add_argument("--brute", action="store_true", help="use the exhaustive oracle instead of the exact count")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bounds", help="redundancy bound table as CSV")
@@ -275,11 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact counts run to tens of thousands of digits, past the interpreter's
+    # int-to-str limit (Python >= 3.10.7); lift it while a command runs.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

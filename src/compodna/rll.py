@@ -7,6 +7,10 @@ outside the restricted subset, i.e. no run of ell or more restricted symbols
 occurs. Only the split of the alphabet into restricted / unrestricted
 matters for counting, so everything here works on (Q, R, ell, n).
 
+Exact counts follow a linear recurrence of order ell; count_rll_exact
+evaluates it as x^n mod its characteristic polynomial, in O(ell^2 log n)
+big-integer multiplications, and count_rll_brute is the exhaustive oracle.
+
 Redundancy figures are measured in symbols, log base Q:
 redundancy = n - log_Q(count).
 """
@@ -77,23 +81,64 @@ def count_rll_brute(params: RllParams) -> int:
     return total
 
 
-def count_rll_exact(params: RllParams) -> int:
-    """Exact size of the run-length-limited set, by dynamic programming.
+def _reduce(poly: list[int], tail: Sequence[int]) -> None:
+    """Reduce `poly` (coefficients, lowest degree first) in place modulo
+    x^ell - sum_j tail[j] x^j, where ell = len(tail), leaving ell coefficients.
 
-    State r in [0, ell-1] is the length of the trailing restricted run.
-    Appending an unrestricted symbol (Q-R ways) resets r to 0; appending a
-    restricted symbol (R ways) advances r, and is dropped when the run
-    would reach ell. O(n * ell) big-integer operations.
+    Each top coefficient folds down onto the ell below it, highest degree
+    first, so every addend is a big x small product.
+    """
+    ell = len(tail)
+    for d in range(len(poly) - 1, ell - 1, -1):
+        top = poly[d]
+        base = d - ell
+        for j, t in enumerate(tail):
+            poly[base + j] += top * t
+    del poly[ell:]
+
+
+def _square(poly: list[int]) -> list[int]:
+    """Schoolbook square: ell(ell+1)/2 big x big products."""
+    ell = len(poly)
+    out = [0] * (2 * ell - 1)
+    for i, a in enumerate(poly):
+        out[2 * i] += a * a
+        twice = a << 1
+        for j in range(i + 1, ell):
+            out[i + j] += twice * poly[j]
+    return out
+
+
+def count_rll_exact(params: RllParams) -> int:
+    """Exact size of the run-length-limited set, from x^n mod the recurrence.
+
+    Splitting a sequence at its last unrestricted symbol, followed by k < ell
+    restricted ones, gives c_n = (Q-R) sum_{k<ell} R^k c_{n-1-k} for n >= ell,
+    with c_i = Q^i for i < ell. So c_n = sum_i b_i Q^i, where
+    b = x^n mod P(x) and P(x) = x^ell - (Q-R) sum_{k<ell} R^k x^(ell-1-k).
+    x^n mod P is built left to right over the bits of n: a square per bit and
+    a multiply by x (shift, then one reduction) per set bit, so the count
+    costs O(ell^2 log n) big-integer multiplications. Every coefficient is a
+    non-negative exact int.
     """
     Q, R, ell, n = params.Q, params.R, params.ell, params.n
     good = Q - R
-    state = [0] * ell
-    state[0] = 1
-    total = 1
-    for _ in range(n):
-        new = [good * total] + [R * state[r] for r in range(ell - 1)]
-        state = new
-        total = sum(state)
+    if n < ell:
+        return Q**n
+    if ell == 1:
+        return good**n
+    # x^ell = sum_j tail[j] x^j mod P, with tail[j] = (Q-R) R^(ell-1-j).
+    tail = [good * R ** (ell - 1 - j) for j in range(ell)]
+    poly = [0, 1] + [0] * (ell - 2)  # x, the top bit of n
+    for bit in bin(n)[3:]:
+        poly = _square(poly)
+        _reduce(poly, tail)
+        if bit == "1":
+            poly.insert(0, 0)
+            _reduce(poly, tail)
+    total = 0
+    for b in reversed(poly):
+        total = total * Q + b
     return total
 
 
@@ -133,7 +178,7 @@ def _log_q(value: int, Q: int) -> float:
 
 
 def redundancy_exact(params: RllParams) -> float:
-    """n - log_Q(exact count), from the DP count."""
+    """n - log_Q(exact count), from count_rll_exact."""
     count = count_rll_exact(params)
     return params.n - _log_q(count, params.Q)
 

@@ -2,10 +2,11 @@
 
 import json
 import random
+import sys
 
 import pytest
 
-from compodna import AlphabetParams, MarkerCodeParams, message_radices
+from compodna import AlphabetParams, MarkerCodeParams, RllParams, count_rll_exact, message_radices
 from compodna.cli import SIMULATE_CSV_HEADER, main
 from compodna.rll import SWEEP_CSV_HEADER
 
@@ -61,6 +62,22 @@ class TestCount:
         assert code == 1
         assert "error" in err
 
+    def test_count_past_int_str_digit_limit(self, capsys):
+        # 9609 digits: past the interpreter's default 4300-digit int-to-str limit.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run_cli(capsys, "count", "--Q", "84", "--R", "56", "--ell", "10", "--n", "5000")
+        assert code == 0, err
+        digits = out.strip()
+        assert len(digits) == 9609
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+        try:
+            assert digits == str(count_rll_exact(RllParams(Q=84, R=56, ell=10, n=5000)))
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
 
 class TestBounds:
     def test_csv_table(self, capsys):
@@ -82,6 +99,18 @@ class TestBounds:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[4] == "55"
+
+    def test_rows_past_int_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run_cli(
+            capsys, "bounds", "--Q", "84", "--R", "56", "--ell-range", "10", "--n-range", "5000"
+        )
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert len(lines[1].split(",")[4]) == 9609
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
 
 
 class TestOptimalEll:
@@ -193,6 +222,20 @@ class TestSimulate:
         assert lines[1].split(",")[0] == "1"
         assert lines[2].split(",")[0] == "2"
         assert lines[1].split(",")[-1] in ("true", "false")
+
+    def test_sweep_runs_every_config(self, capsys, tmp_path):
+        # The middle config samples one fragment of a once-broken strand, so
+        # some column has no coverage; the configs either side still run.
+        configs = [dict(BASE_CONFIG, seed=1), dict(BASE_CONFIG, seed=2, sample_size=1), dict(BASE_CONFIG, seed=3)]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(configs))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == SIMULATE_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+        assert err.startswith("error: config 1: ") and "coverage" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)

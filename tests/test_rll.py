@@ -28,6 +28,23 @@ from compodna.rll import SWEEP_CSV_HEADER, verify_summation_identities_grid
 LOG2_E = math.log2(math.e)
 
 
+def _count_by_steps(params: RllParams) -> int:
+    """Reference count: n steps of the trailing-restricted-run DP.
+
+    State r in [0, ell-1] is the length of the trailing restricted run.
+    Appending an unrestricted symbol (Q-R ways) resets r to 0; appending a
+    restricted symbol (R ways) advances r, and is dropped when the run
+    would reach ell.
+    """
+    Q, R, ell, n = params.Q, params.R, params.ell, params.n
+    state = [1] + [0] * (ell - 1)
+    total = 1
+    for _ in range(n):
+        state = [(Q - R) * total] + [R * state[r] for r in range(ell - 1)]
+        total = sum(state)
+    return total
+
+
 class TestMembership:
     def test_no_restricted_symbols(self):
         assert is_run_length_limited([False] * 10, 3)
@@ -119,6 +136,35 @@ class TestExactCount:
         count = count_rll_exact(RllParams(Q=Q, R=R, ell=ell, n=n))
         window = window_count_closed_form(Q, R, ell)
         assert count <= window ** (n // (2 * ell)) * Q ** (n % (2 * ell))
+
+    @given(Q=st.integers(2, 100), ell=st.integers(1, 12), n=st.integers(0, 400), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_step_dp(self, Q, ell, n, data):
+        R = data.draw(st.integers(0, Q - 1))
+        params = RllParams(Q=Q, R=R, ell=ell, n=n)
+        assert count_rll_exact(params) == _count_by_steps(params)
+
+    @pytest.mark.parametrize(
+        "Q,R,ell",
+        [
+            (2, 0, 3), (84, 0, 10),                 # R = 0: every sequence qualifies
+            (2, 1, 3), (84, 83, 10), (100, 99, 12),  # R = Q-1: one unrestricted symbol
+            (2, 1, 1), (84, 56, 1),                  # ell = 1: fast path
+            (3, 1, 2), (84, 56, 7), (7, 4, 12),
+        ],
+    )
+    def test_edge_lengths_match_step_dp(self, Q, R, ell):
+        for n in (0, ell - 1, ell, ell + 1, 2 * ell):
+            params = RllParams(Q=Q, R=R, ell=ell, n=n)
+            assert count_rll_exact(params) == _count_by_steps(params), n
+        assert count_rll_exact(RllParams(Q=Q, R=R, ell=ell, n=2 * ell)) == window_count_closed_form(Q, R, ell)
+
+    def test_dna_point_matches_step_dp(self):
+        # A 9609-digit count, the largest of the rll-sweep grid (ell 10, n 5000).
+        params = RllParams(Q=84, R=56, ell=10, n=5000)
+        count = count_rll_exact(params)
+        assert count == _count_by_steps(params)
+        assert math.floor(math.log10(count)) + 1 == 9609
 
     def test_large_length_smoke(self):
         count = count_rll_exact(RllParams(Q=2, R=1, ell=2, n=10_000))
