@@ -47,8 +47,6 @@ from .marker import (
     MarkerCodeParams,
     OptimalMarkerLength,
     asymptotic_optimal_ell,
-    classification_interval,
-    classification_json,
     classify_fragment,
     code_redundancy_formula,
     construct_codeword,

@@ -17,9 +17,9 @@ Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
 and the message draw each read their own lane: the stream keyed by
 (seed, lane). Strand i's row of w uniforms starts at counter block
-i * ceil(w / 4) of its lane (a block holds four doubles), so any split of
-the strands into calls or blocks reads the same draws, and results are
-identical under any execution order.
+i * ceil(w / 4) of its lane (a block holds four doubles), so strand i
+reads the same draws whatever the strand count or block size, and results
+are identical under any execution order.
 """
 
 from __future__ import annotations
@@ -30,15 +30,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .marker import (
-    FragmentClass,
-    MarkerCodeParams,
-    _marker_columns,
-    construct_codeword,
-    layout,
-    message_radices,
-)
-from .symbols import AlphabetParams, CompositeMatrix, CompositeSymbol, largest_remainder_apportion
+from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
+from .symbols import AlphabetParams, CompositeMatrix, largest_remainder_apportion
 
 _MASK64 = (1 << 64) - 1
 
@@ -69,17 +62,15 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_rows(seed: int, lane: int, first_index: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+def _uniform_rows(seed: int, lane: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (row offset, block of uniform rows) covering `count` rows.
 
-    Row i holds the `width` uniforms of strand first_index + i: the lane's
-    stream from counter block (first_index + i) * ceil(width / 4), so a
-    strand's row does not depend on which call or block reads it.
+    Row i holds the `width` uniforms of strand i: the lane's stream from
+    counter block i * ceil(width / 4), so a strand's row does not depend on
+    how many strands are drawn or which block reads it.
     """
     stride = -(-width // _DOUBLES_PER_BLOCK) * _DOUBLES_PER_BLOCK
     gen = substream(seed, lane)
-    if first_index:
-        gen.bit_generator.advance(first_index * stride // _DOUBLES_PER_BLOCK)
     for lo in range(0, count, _BLOCK):
         rows = min(_BLOCK, count - lo)
         yield lo, gen.random(rows * stride).reshape(rows, stride)[:, :width]
@@ -157,24 +148,48 @@ def break_model_to_json_dict(model: BreakModel) -> dict:
 
 
 def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj, default=repr)}")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
+# JSON value kinds a config field can take; a bool is never an integer or number.
+_JSON_KINDS = {"integer": int, "number": (int, float), "bool": bool, "string": str, "object": dict}
+_REQUIRED = object()
+
+
+def _is_json(value: object, kind: str) -> bool:
+    return isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
+
+
+def _field(obj: dict, key: str, where: str, kind: str, default: object = _REQUIRED):
+    """obj[key], which must be a JSON `kind`; a missing key takes `default`,
+    and a field whose default is None may also be null."""
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"missing key {key!r} in {where}")
+    if not (_is_json(value, kind) or value is default is None):
+        raise ValueError(f"{key} in {where} must be a JSON {kind}, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def break_model_from_json_dict(obj: dict) -> BreakModel:
-    kind = obj["kind"]
+    kind = _field(obj, "kind", "break_model", "string")
     if kind not in ("per_bond", "exactly_t", "at_most_t"):
         raise ValueError(f"unknown break model kind {kind!r}")
     fields = {"p"} if kind == "per_bond" else {"t", "bond_range"}
     _reject_unknown_keys(obj, {"kind"} | fields, "break_model")
     if kind == "per_bond":
-        return PerBond(p=float(obj["p"]))
+        return PerBond(p=float(_field(obj, "p", "break_model", "number")))
     rng = obj.get("bond_range")
-    bond_range = None if rng is None else (int(rng[0]), int(rng[1]))
-    if kind == "exactly_t":
-        return ExactlyT(t=int(obj["t"]), bond_range=bond_range)
-    return AtMostT(t=int(obj["t"]), bond_range=bond_range)
+    if not (rng is None or isinstance(rng, list) and len(rng) == 2 and all(_is_json(b, "integer") for b in rng)):
+        got = json.dumps(rng, default=repr)
+        raise ValueError(f"bond_range in break_model must be null or two JSON integers, got {got}")
+    bond_range = None if rng is None else tuple(rng)
+    model = ExactlyT if kind == "exactly_t" else AtMostT
+    return model(t=_field(obj, "t", "break_model", "integer"), bond_range=bond_range)
 
 
 _CONFIG_KEYS = {"code_params", "strand_count", "break_model", "sample_size", "with_replacement", "seed"}
@@ -228,27 +243,31 @@ class ChannelConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict, default_seed: Optional[int] = None) -> "ChannelConfig":
+        """Parse a config; a ValueError names any unknown key or mistyped field."""
         _reject_unknown_keys(obj, _CONFIG_KEYS, "config")
-        cp = obj["code_params"]
+        cp = _field(obj, "code_params", "config", "object")
         _reject_unknown_keys(cp, _CODE_PARAMS_KEYS, "code_params")
+
+        def code(key: str, default: object = _REQUIRED) -> int:
+            return _field(cp, key, "code_params", "integer", default)
+
         params = MarkerCodeParams(
-            alphabet=AlphabetParams(q=int(cp["q"]), M=int(cp["M"])),
-            n=int(cp["n"]),
-            ell=int(cp["ell"]),
-            marker_base=int(cp.get("marker_base", 1)),
-            anchor_base=int(cp.get("anchor_base", 2)),
+            alphabet=AlphabetParams(q=code("q"), M=code("M")),
+            n=code("n"),
+            ell=code("ell"),
+            marker_base=code("marker_base", 1),
+            anchor_base=code("anchor_base", 2),
         )
-        seed = obj.get("seed", default_seed)
+        seed = _field(obj, "seed", "config", "integer", default_seed)
         if seed is None:
             raise ValueError("config has no seed and no default seed is set")
-        size = obj.get("sample_size")
         return cls(
             code_params=params,
-            strand_count=int(obj["strand_count"]),
-            break_model=break_model_from_json_dict(obj["break_model"]),
-            sample_size=None if size is None else int(size),
-            with_replacement=bool(obj.get("with_replacement", False)),
-            seed=int(seed),
+            strand_count=_field(obj, "strand_count", "config", "integer"),
+            break_model=break_model_from_json_dict(_field(obj, "break_model", "config", "object")),
+            sample_size=_field(obj, "sample_size", "config", "integer", None),
+            with_replacement=_field(obj, "with_replacement", "config", "bool", False),
+            seed=seed,
         )
 
     @classmethod
@@ -256,12 +275,12 @@ class ChannelConfig:
         return cls.from_json_dict(json.loads(text), default_seed=default_seed)
 
 
-def synthesize(matrix: CompositeMatrix, count: int, seed: int, first_index: int = 0) -> np.ndarray:
+def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. strands from the matrix's column distributions.
 
     Returns a (count, n) array of 1-based base indices. Strand i reads row
-    first_index + i of the synthesis lane, so pools are identical however
-    the work is split.
+    i of the synthesis lane, so the first m strands are the same whatever
+    `count` is.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
@@ -269,7 +288,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int, first_index: int 
     # and a zero-count base gets an empty interval, so it is never drawn.
     cum = (np.cumsum(matrix.count_array(), axis=0) / matrix.params.M)[:-1, :]
     strands = np.ones((count, matrix.n), dtype=np.int16)
-    for lo, u in _uniform_rows(seed, LANE_SYNTH, first_index, count, matrix.n):
+    for lo, u in _uniform_rows(seed, LANE_SYNTH, count, matrix.n):
         block = strands[lo : lo + len(u)]
         for threshold in cum:
             block += u >= threshold
@@ -339,7 +358,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     strand_parts, start_parts = [], []
-    for lo, u in _uniform_rows(seed, LANE_BREAK, 0, count, _break_width(model, n)):
+    for lo, u in _uniform_rows(seed, LANE_BREAK, count, _break_width(model, n)):
         rows, cols = np.nonzero(_cut_mask(u, n, model))
         strand_parts.append((rows + lo).astype(np.int32))
         start_parts.append(cols.astype(np.int32))
@@ -484,35 +503,24 @@ class ZeroCoverageError(ValueError):
 def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> CompositeMatrix:
     """Re-estimate the codeword from aligned base counts.
 
-    Marker columns are set to their constructed values. Data columns are
-    quantized from empirical frequencies by largest-remainder apportionment;
-    breaker columns first project the marker base to zero and apportion the
-    remainder over the other bases.
+    Marker columns take their single value. Each data column apportions M
+    over its allowed bases in proportion to their empirical frequencies
+    (largest remainders), so a breaker column never weighs the marker base.
     """
     q, m, n = params.q, params.M, params.n
     if count_table.shape != (q, n):
         raise ValueError(f"count table shape {count_table.shape} != ({q}, {n})")
-    breakers = layout(params).breaker_positions
-    markers = _marker_columns(params)
-    mb0 = params.marker_base - 1
-    cols: list[CompositeSymbol] = []
-    for j in range(1, n + 1):
-        if j in markers:
-            cols.append(markers[j])
-            continue
-        freqs = count_table[:, j - 1].astype(float)
-        if freqs.sum() <= 0:
+    lay = layout(params)
+    freqs = count_table.astype(float).T.tolist()
+    cols = {j: lay.column(j, (m,)) for j in lay.marker_positions}
+    for j in lay.data_positions():
+        if sum(freqs[j - 1]) <= 0:
             raise ZeroCoverageError(f"no coverage at data column {j}")
-        if j in breakers:
-            rest = [freqs[i] for i in range(q) if i != mb0]
-            if sum(rest) <= 0:
-                raise ZeroCoverageError(f"no usable coverage at breaker column {j}")
-            counts = largest_remainder_apportion(rest, m)
-            counts.insert(mb0, 0)
-        else:
-            counts = largest_remainder_apportion(freqs.tolist(), m)
-        cols.append(CompositeSymbol(tuple(counts)))
-    return CompositeMatrix(columns=tuple(cols), params=params.alphabet)
+        weights = [freqs[j - 1][b] for b in lay.bases[j - 1]]
+        if sum(weights) <= 0:
+            raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
+        cols[j] = lay.column(j, largest_remainder_apportion(weights, m))
+    return CompositeMatrix(columns=tuple(cols[j] for j in range(1, n + 1)), params=params.alphabet)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ SEED_ENV_VAR = "COMPODNA_SEED"
 
 def _parse_range(text: str) -> list[int]:
     """"lo:hi" or "lo:hi:step" (inclusive), or a single integer."""
-    parts = text.split(":")
+    parts = [int(part) for part in text.split(":")]
     if len(parts) == 1:
-        return [int(parts[0])]
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
-    if step < 1 or hi < lo:
+        return parts
+    lo, hi, step = (parts + [1])[:3]
+    if len(parts) > 3 or step < 1 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     return list(range(lo, hi + 1, step))
 
@@ -103,24 +102,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_configs(args: argparse.Namespace) -> list[channel.ChannelConfig]:
-    text = _read_input(args.config)
-    obj = json.loads(text)
-    default_seed = args.seed
-    if default_seed is None and SEED_ENV_VAR in os.environ:
-        default_seed = int(os.environ[SEED_ENV_VAR])
-    if args.sweep:
-        if not isinstance(obj, list):
-            raise ValueError("--sweep expects the config file to hold a JSON array of configs")
-        raw = obj
-    else:
-        raw = [obj]
-    configs = []
-    for entry in raw:
-        if args.seed is not None:
-            entry = dict(entry, seed=args.seed)
-        configs.append(channel.ChannelConfig.from_json_dict(entry, default_seed=default_seed))
-    return configs
+def _load_config(entry: object, args: argparse.Namespace) -> channel.ChannelConfig:
+    """A config entry's config; --seed overrides its seed, which overrides $COMPODNA_SEED."""
+    if args.seed is not None and isinstance(entry, dict):
+        entry = dict(entry, seed=args.seed)
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    return channel.ChannelConfig.from_json_dict(entry, default_seed=None if env_seed is None else int(env_seed))
 
 
 SIMULATE_CSV_HEADER = (
@@ -148,16 +135,20 @@ def _simulate_csv_row(config: channel.ChannelConfig, report: channel.ExperimentR
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    configs = _load_configs(args)
+    obj = json.loads(_read_input(args.config))
     if not args.sweep:
-        report = channel.run_experiment(configs[0], workers=args.workers)
+        report = channel.run_experiment(_load_config(obj, args), workers=args.workers)
         print(report.to_json())
         return 0
-    # A failed config is reported and skipped; the sweep still runs the rest.
+    if not isinstance(obj, list):
+        raise ValueError("--sweep expects the config file to hold a JSON array of configs")
+    # A config that fails to load or to run is reported and skipped; the
+    # sweep still runs the rest.
     print(SIMULATE_CSV_HEADER)
     failed = 0
-    for index, config in enumerate(configs):
+    for index, entry in enumerate(obj):
         try:
+            config = _load_config(entry, args)
             report = channel.run_experiment(config, workers=args.workers)
         except ValueError as exc:
             print(f"error: config {index}: {exc}", file=sys.stderr)

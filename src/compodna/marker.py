@@ -7,17 +7,23 @@ pattern can never arise inside the data, every ell-th data column is a
 "breaker": a column whose marker-base count is forced to zero. Fragments
 of a broken strand are then positioned by which end markers they retain.
 
+Each column is a composition of M over the bases its role allows (see
+layout()); encoding, validation, decoding and estimation all read that
+one table.
+
 Column indices and base indices are 1-based throughout, matching the
 construction's arithmetic (breaker columns are exactly the j with
-(j + 2) mod ell == 0 inside the data region).
+(j + 2) mod ell == 0 inside the data region); only the layout's
+allowed-base tuples are 0-based, indexing a column's counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .symbols import (
     AlphabetParams,
@@ -80,95 +86,106 @@ class MarkerCodeParams:
         """Base-index pattern of one marker block: anchor, marker x ell, anchor."""
         return (self.anchor_base,) + (self.marker_base,) * self.ell + (self.anchor_base,)
 
-    def total_symbols(self) -> int:
-        return alphabet_size(self.alphabet)
-
-    def restricted_symbols(self) -> int:
-        """Symbols carrying nonzero marker-base weight (forbidden at breakers)."""
-        return restricted_symbol_count(self.alphabet, self.marker_base)
-
 
 @dataclass(frozen=True)
 class LayoutMap:
-    """Partition of columns [1, n] into marker, breaker, and free positions."""
+    """Each column's role and the 0-based bases it may weigh, column 1 first.
 
-    marker_positions: frozenset[int]
-    breaker_positions: frozenset[int]
-    free_positions: frozenset[int]
+    A role is "anchor", "marker", "breaker" or "free". Every column is a
+    composition of M over its allowed bases; an anchor or marker column
+    has one, so its only value is full weight on it.
+    """
+
+    alphabet: AlphabetParams
+    roles: tuple[str, ...]
+    bases: tuple[tuple[int, ...], ...]
+    radices: tuple[int, ...]  # values per column: C(M+k-1, k-1) for k allowed bases
+
+    def _positions(self, *roles: str) -> list[int]:
+        return [j for j, role in enumerate(self.roles, start=1) if role in roles]
+
+    @property
+    def marker_positions(self) -> frozenset[int]:
+        """Anchor and marker columns: both marker blocks."""
+        return frozenset(self._positions("anchor", "marker"))
+
+    @property
+    def breaker_positions(self) -> frozenset[int]:
+        return frozenset(self._positions("breaker"))
+
+    @property
+    def free_positions(self) -> frozenset[int]:
+        return frozenset(self._positions("free"))
 
     def data_positions(self) -> list[int]:
         """Breaker and free columns in ascending column order."""
-        return sorted(self.breaker_positions | self.free_positions)
+        return self._positions("breaker", "free")
+
+    def column(self, j: int, weights: Sequence[int]) -> CompositeSymbol:
+        """Column j's symbol with `weights` on its allowed bases, zero elsewhere."""
+        bases = self.bases[j - 1]
+        if len(bases) == self.alphabet.q:
+            return CompositeSymbol(tuple(weights))
+        counts = [0] * self.alphabet.q
+        for base, weight in zip(bases, weights):
+            counts[base] = weight
+        return CompositeSymbol(tuple(counts))
 
 
+# Every encode, check, decode and estimate asks for the layout, which depends
+# only on the (frozen, immutable) params.
+@functools.lru_cache(maxsize=64)
 def layout(params: MarkerCodeParams) -> LayoutMap:
-    """Column roles for the given parameters.
+    """Column roles and allowed bases for the given parameters.
 
-    Markers occupy [1, ell+2] and [n-ell-1, n]; breakers are the data
-    columns j with (j + 2) mod ell == 0; the rest of the data is free.
+    The marker blocks occupy [1, ell+2] and [n-ell-1, n], laid out as
+    marker_pattern(); breakers are the data columns j with
+    (j + 2) mod ell == 0; the rest of the data is free.
     """
-    marker = frozenset(_marker_columns(params))
-    data = [j for j in range(1, params.n + 1) if j not in marker]
-    breaker = frozenset(j for j in data if (j + 2) % params.ell == 0)
-    free = frozenset(data) - breaker
-    return LayoutMap(marker_positions=marker, breaker_positions=breaker, free_positions=free)
-
-
-def _marker_column(params: MarkerCodeParams, base: int) -> CompositeSymbol:
-    counts = [0] * params.q
-    counts[base - 1] = params.M
-    return CompositeSymbol(tuple(counts))
-
-
-def _marker_columns(params: MarkerCodeParams) -> dict[int, CompositeSymbol]:
-    """Constructed marker-block columns: marker_pattern() laid at both ends."""
-    pattern = params.marker_pattern()
-    offset = params.n - len(pattern)
-    cols = {}
-    for j, base in enumerate(pattern, start=1):
-        cols[j] = cols[offset + j] = _marker_column(params, base)
-    return cols
-
-
-def _insert_zero(counts: tuple[int, ...], index0: int) -> tuple[int, ...]:
-    return counts[:index0] + (0,) + counts[index0:]
-
-
-def _delete_index(counts: tuple[int, ...], index0: int) -> tuple[int, ...]:
-    return counts[:index0] + counts[index0 + 1 :]
+    q, ell, span = params.q, params.ell, params.ell + 2
+    allowed = {
+        "anchor": (params.anchor_base - 1,),
+        "marker": (params.marker_base - 1,),
+        "breaker": tuple(b for b in range(q) if b != params.marker_base - 1),
+        "free": tuple(range(q)),
+    }
+    radix = {role: math.comb(params.M + len(bases) - 1, len(bases) - 1) for role, bases in allowed.items()}
+    block = ["anchor" if base == params.anchor_base else "marker" for base in params.marker_pattern()]
+    data = ["breaker" if (j + 2) % ell == 0 else "free" for j in range(span + 1, params.n - span + 1)]
+    roles = tuple(block + data + block)
+    return LayoutMap(
+        params.alphabet, roles, tuple(map(allowed.__getitem__, roles)), tuple(map(radix.__getitem__, roles))
+    )
 
 
 def message_radices(params: MarkerCodeParams) -> list[int]:
     """Per-data-column alphabet sizes: Q at free columns, Q-R at breakers."""
     lay = layout(params)
-    full = params.total_symbols()
-    reduced = full - params.restricted_symbols()
-    return [reduced if j in lay.breaker_positions else full for j in lay.data_positions()]
+    return [lay.radices[j - 1] for j in lay.data_positions()]
 
 
 def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> CompositeMatrix:
     """Encode a mixed-radix message into a codeword matrix.
 
-    One message symbol per data column, consumed in column order: free
-    columns unrank over the full composite alphabet, breaker columns over
-    the subalphabet with zero marker-base weight.
+    One message symbol per data column, consumed in column order. Every
+    column unranks its symbol over its allowed bases; marker-block columns
+    take symbol 0.
     """
     lay = layout(params)
     data = lay.data_positions()
     if len(message) != len(data):
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")
-    q, m = params.q, params.M
-    radices = message_radices(params)
-    cols = _marker_columns(params)
-    mb0 = params.marker_base - 1
-    for j, sym, radix in zip(data, message, radices):
+    symbols = [0] * params.n
+    for j, sym in zip(data, message):
+        radix = lay.radices[j - 1]
         if not 0 <= sym < radix:
             raise ValueError(f"message symbol {sym} at column {j} outside radix [0, {radix})")
-        if j in lay.breaker_positions:
-            cols[j] = CompositeSymbol(_insert_zero(_unrank_composition(sym, q - 1, m), mb0))
-        else:
-            cols[j] = CompositeSymbol(_unrank_composition(sym, q, m))
-    columns = tuple(cols[j] for j in range(1, params.n + 1))
+        symbols[j - 1] = sym
+    m = params.M
+    columns = tuple(
+        lay.column(j, _unrank_composition(sym, len(bases), m))
+        for j, (sym, bases) in enumerate(zip(symbols, lay.bases), start=1)
+    )
     return CompositeMatrix(columns=columns, params=params.alphabet)
 
 
@@ -183,37 +200,39 @@ class CodewordCheck:
         return self.ok
 
 
+# What a column of each role violates when it weighs a base outside its own.
+_VIOLATIONS = {
+    "anchor": "marker column mismatch (condition 1)",
+    "marker": "marker column mismatch (condition 2)",
+    "breaker": "breaker column has nonzero marker-base count (condition 3)",
+}
+
+
 def is_valid_codeword(matrix: CompositeMatrix, params: MarkerCodeParams) -> CodewordCheck:
-    """Check the three codeword conditions plus column well-formedness.
+    """Check that no column weighs a base outside its allowed ones.
 
     Condition 1: the four anchor columns put full weight on the anchor base.
     Condition 2: the marker-interior columns put full weight on the marker base.
     Condition 3: breaker columns carry zero marker-base weight.
     """
-    violations = []
     if matrix.params != params.alphabet:
-        violations.append(
+        violation = (
             f"alphabet mismatch: matrix has (q={matrix.params.q}, M={matrix.params.M}), "
             f"params expect (q={params.q}, M={params.M})"
         )
-        return CodewordCheck(ok=False, violations=tuple(violations))
+        return CodewordCheck(ok=False, violations=(violation,))
     if matrix.n != params.n:
-        violations.append(f"length mismatch: matrix has {matrix.n} columns, params expect {params.n}")
-        return CodewordCheck(ok=False, violations=tuple(violations))
-    expected = _marker_columns(params)
-    lay = layout(params)
-    mb0 = params.marker_base - 1
-    for j, col in enumerate(matrix.columns, start=1):
-        if j in expected:
-            want = expected[j]
-            if col != want:
-                cond = 1 if want.counts[params.anchor_base - 1] == params.M else 2
-                violations.append(f"column {j}: marker column mismatch (condition {cond})")
-        elif j in lay.breaker_positions and col.counts[mb0] != 0:
-            violations.append(
-                f"column {j}: breaker column has nonzero marker-base count (condition 3)"
-            )
-    return CodewordCheck(ok=not violations, violations=tuple(violations))
+        violation = f"length mismatch: matrix has {matrix.n} columns, params expect {params.n}"
+        return CodewordCheck(ok=False, violations=(violation,))
+    # A column's counts sum to M, so all of M on its allowed bases means no
+    # weight anywhere else, and a column that may weigh every base is valid.
+    lay, q, m = layout(params), params.q, params.M
+    violations = tuple(
+        f"column {j}: {_VIOLATIONS[role]}"
+        for j, (col, role, bases) in enumerate(zip(matrix.columns, lay.roles, lay.bases), start=1)
+        if len(bases) < q and sum([col.counts[b] for b in bases]) != m
+    )
+    return CodewordCheck(ok=not violations, violations=violations)
 
 
 def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[int]:
@@ -222,14 +241,11 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     if not check:
         raise InvalidCodewordError("; ".join(check.violations))
     lay = layout(params)
-    mb0 = params.marker_base - 1
     message = []
     for j in lay.data_positions():
-        counts = codeword.columns[j - 1].counts
-        if j in lay.breaker_positions:
-            message.append(_rank_composition(_delete_index(counts, mb0)))
-        else:
-            message.append(_rank_composition(counts))
+        # Rank the counts on the allowed bases; all q of them need no gather.
+        counts, bases = codeword.columns[j - 1].counts, lay.bases[j - 1]
+        message.append(_rank_composition(counts if len(bases) == params.q else [counts[b] for b in bases]))
     return message
 
 
@@ -345,23 +361,3 @@ def classify_fragment(fragment: Sequence[int], params: MarkerCodeParams) -> Frag
     if ends:
         return FragmentClass.SUFFIX
     return FragmentClass.DISCARD
-
-
-def classification_interval(
-    fragment: Sequence[int], params: MarkerCodeParams
-) -> tuple[FragmentClass, Optional[tuple[int, int]]]:
-    """Fragment class plus the column interval it covers (None if unusable)."""
-    kind = classify_fragment(fragment, params)
-    length = len(fragment)
-    if kind is FragmentClass.FULL:
-        return kind, (1, params.n)
-    if kind is FragmentClass.PREFIX:
-        return kind, (1, length)
-    if kind is FragmentClass.SUFFIX:
-        return kind, (params.n - length + 1, params.n)
-    return kind, None
-
-
-def classification_json(fragment: Sequence[int], params: MarkerCodeParams) -> dict:
-    kind, interval = classification_interval(fragment, params)
-    return {"class": kind.value, "interval": None if interval is None else list(interval)}

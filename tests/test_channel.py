@@ -85,13 +85,13 @@ class TestSynthesize:
         assert (a == b).all()
 
     def test_split_invocation_matches_single_call(self):
-        # counter-addressed strand rows: synthesizing in two halves gives the same pool
+        # counter-addressed strand rows: a smaller call draws the first rows
+        # of a larger one, at cuts on either side of the 256-row blocks
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         cw = make_codeword(params)
-        whole = synthesize(cw, 40, seed=21)
-        first = synthesize(cw, 25, seed=21, first_index=0)
-        second = synthesize(cw, 15, seed=21, first_index=25)
-        assert (np.vstack([first, second]) == whole).all()
+        whole = synthesize(cw, 600, seed=21)
+        for m in (1, 25, 255, 256, 257, 511, 513):
+            assert (synthesize(cw, m, seed=21) == whole[:m]).all()
 
     def test_values_are_valid_bases(self):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
@@ -588,4 +588,20 @@ class TestConfigSerialization:
         obj = json.loads(make_config(break_model=PerBond(p=0.1)).to_json())
         obj["break_model"]["t"] = 2  # a field of the other kinds, not of per_bond
         with pytest.raises(ValueError, match="'t'"):
+            ChannelConfig.from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "with_replacement", "false"),  # a truthy string
+            (None, "strand_count", 50.9),
+            (None, "strand_count", None),
+            ("code_params", "ell", True),  # a bool is not an integer
+            ("break_model", "bond_range", [5, 55, 7]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, section, key, value):
+        obj = json.loads(make_config(break_model=ExactlyT(t=1, bond_range=(5, 55))).to_json())
+        (obj if section is None else obj[section])[key] = value
+        with pytest.raises(ValueError, match=key):
             ChannelConfig.from_json_dict(obj)

@@ -100,6 +100,14 @@ class TestBounds:
         assert len(lines) == 2
         assert lines[1].split(",")[4] == "55"
 
+    def test_range_with_four_fields_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--Q", "2", "--R", "1", "--ell-range", "1:3:1:9", "--n-range", "8"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "1:3:1:9" in err
+
     def test_rows_past_int_str_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         code, out, err = run_cli(
@@ -237,6 +245,19 @@ class TestSimulate:
         assert err.startswith("error: config 1: ") and "coverage" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_sweep_reports_a_config_that_fails_to_load(self, capsys, tmp_path):
+        # A typo in the middle config skips it, like a config that fails to run.
+        configs = [dict(BASE_CONFIG, seed=1), dict(BASE_CONFIG, seed=2, sample_sise=10), dict(BASE_CONFIG, seed=3)]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(configs))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == SIMULATE_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+        assert err.startswith("error: config 1: ") and "sample_sise" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
@@ -255,6 +276,13 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "sample_sise" in err
+
+    def test_mistyped_config_exit_code(self, capsys, tmp_path):
+        path = self._write_config(tmp_path, strand_count=None)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "strand_count" in err
 
     def test_workers_flag_preserves_output(self, capsys, tmp_path):
         path = self._write_config(tmp_path)

@@ -17,7 +17,6 @@ from compodna import (
     MarkerCodeParams,
     alphabet_size,
     asymptotic_optimal_ell,
-    classification_json,
     classify_fragment,
     code_redundancy_formula,
     construct_codeword,
@@ -394,18 +393,6 @@ class TestClassifyFragment:
         params = marker_params(n=40, ell=3)
         with pytest.raises(ValueError, match="exceeds"):
             classify_fragment([1] * 41, params)
-
-    def test_classification_json(self):
-        params = marker_params(n=40, ell=3)
-        strand = self._strand(params)
-        assert classification_json(strand, params) == {"class": "Full", "interval": [1, 40]}
-        assert classification_json(strand[:10], params) == {"class": "Prefix", "interval": [1, 10]}
-        assert classification_json(strand[10:], params) == {"class": "Suffix", "interval": [11, 40]}
-        assert classification_json(strand[:2], params) == {"class": "Discard", "interval": None}
-        assert classification_json(params.marker_pattern(), params) == {
-            "class": "MarkerOnly",
-            "interval": None,
-        }
 
     def test_single_break_completeness_interior_bonds(self):
         params = marker_params(n=40, ell=3)
