@@ -16,7 +16,6 @@ from .symbols import (
     alphabet_size,
     enumerate_symbols,
     largest_remainder_apportion,
-    quantize_to_symbol,
     rank_symbol,
     restricted_symbol_count,
     unrank_symbol,
@@ -69,7 +68,6 @@ from .channel import (
     TraceStats,
     ZeroCoverageError,
     align_and_count,
-    apply_breaks,
     apply_breaks_traced,
     estimate_matrix,
     random_message,

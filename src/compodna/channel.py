@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
-from .symbols import AlphabetParams, CompositeMatrix, largest_remainder_apportion
+from .symbols import AlphabetParams, CompositeMatrix, _is_json, largest_remainder_apportion
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,7 +54,7 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
 
     Index 0 is the lane's own stream, which the batched stages read row by
     row (see the module docstring). Other indices give independent streams
-    for per-item callers, such as one per strand for apply_breaks.
+    for per-item callers, such as one per strand for apply_breaks_traced.
     """
     if not 0 <= index < 1 << 60:
         raise ValueError(f"substream index {index} outside [0, 2^60)")
@@ -155,13 +155,7 @@ def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
-# JSON value kinds a config field can take; a bool is never an integer or number.
-_JSON_KINDS = {"integer": int, "number": (int, float), "bool": bool, "string": str, "object": dict}
 _REQUIRED = object()
-
-
-def _is_json(value: object, kind: str) -> bool:
-    return isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
 
 
 def _field(obj: dict, key: str, where: str, kind: str, default: object = _REQUIRED):
@@ -372,7 +366,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
 def apply_breaks_traced(
     strand: np.ndarray, model: BreakModel, rng: np.random.Generator
 ) -> list[tuple[int, np.ndarray]]:
-    """Split a strand at stochastic bonds; (1-based start column, fragment) pairs.
+    """Split a strand at stochastic bonds into in-order (1-based start column, fragment) pairs.
 
     Draws one row of the cut core's uniforms from `rng`.
     """
@@ -380,11 +374,6 @@ def apply_breaks_traced(
     n = len(strand)
     starts = np.nonzero(_cut_mask(rng.random(_break_width(model, n))[None, :], n, model)[0])[0]
     return [(int(s) + 1, piece) for s, piece in zip(starts, np.split(strand, starts[1:]))]
-
-
-def apply_breaks(strand: np.ndarray, model: BreakModel, rng: np.random.Generator) -> list[np.ndarray]:
-    """Split a strand at stochastic bond positions; fragments partition it in order."""
-    return [piece for _, piece in apply_breaks_traced(strand, model, rng)]
 
 
 def sample_fragments(

@@ -40,7 +40,7 @@ def _cmd_alphabet(args: argparse.Namespace) -> int:
     params = symbols.AlphabetParams(q=args.q, M=args.M)
     out = {
         "Q": symbols.alphabet_size(params),
-        "R": symbols.restricted_symbol_count(params, args.excluded_base),
+        "R": symbols.restricted_symbol_count(params, 1),  # the same for every excluded base
     }
     print(json.dumps(out))
     return 0
@@ -89,8 +89,9 @@ def _code_params(args: argparse.Namespace, q: int, M: int, n: int) -> marker.Mar
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     message = json.loads(_read_input(args.message))
+    digits = [symbols._json_int(x, f"message entry {i}") for i, x in enumerate(message, start=1)]
     params = _code_params(args, args.q, args.M, args.n)
-    matrix = marker.construct_codeword([int(x) for x in message], params)
+    matrix = marker.construct_codeword(digits, params)
     print(matrix.to_json())
     return 0
 
@@ -102,12 +103,19 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(entry: object, args: argparse.Namespace) -> channel.ChannelConfig:
-    """A config entry's config; --seed overrides its seed, which overrides $COMPODNA_SEED."""
+def _env_seed() -> Optional[int]:
+    text = os.environ.get(SEED_ENV_VAR)
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+
+
+def _load_config(entry: object, args: argparse.Namespace, env_seed: Optional[int]) -> channel.ChannelConfig:
+    """A config entry's config; --seed overrides its seed, which overrides `env_seed` ($COMPODNA_SEED)."""
     if args.seed is not None and isinstance(entry, dict):
         entry = dict(entry, seed=args.seed)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    return channel.ChannelConfig.from_json_dict(entry, default_seed=None if env_seed is None else int(env_seed))
+    return channel.ChannelConfig.from_json_dict(entry, default_seed=env_seed)
 
 
 SIMULATE_CSV_HEADER = (
@@ -136,8 +144,9 @@ def _simulate_csv_row(config: channel.ChannelConfig, report: channel.ExperimentR
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     obj = json.loads(_read_input(args.config))
+    env_seed = _env_seed()
     if not args.sweep:
-        report = channel.run_experiment(_load_config(obj, args), workers=args.workers)
+        report = channel.run_experiment(_load_config(obj, args, env_seed), workers=args.workers)
         print(report.to_json())
         return 0
     if not isinstance(obj, list):
@@ -148,7 +157,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     failed = 0
     for index, entry in enumerate(obj):
         try:
-            config = _load_config(entry, args)
+            config = _load_config(entry, args, env_seed)
             report = channel.run_experiment(config, workers=args.workers)
         except ValueError as exc:
             print(f"error: config {index}: {exc}", file=sys.stderr)
@@ -215,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alphabet", help="composite alphabet size Q and restricted count R")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--excluded-base", type=int, default=1, dest="excluded_base")
     p.set_defaults(func=_cmd_alphabet)
 
     p = sub.add_parser("count", help="exact run-length-limited sequence count")

@@ -77,11 +77,6 @@ class MarkerCodeParams:
     def M(self) -> int:
         return self.alphabet.M
 
-    @property
-    def is_degenerate(self) -> bool:
-        """ell == 1 makes every data column a breaker; permitted but wasteful."""
-        return self.ell == 1
-
     def marker_pattern(self) -> tuple[int, ...]:
         """Base-index pattern of one marker block: anchor, marker x ell, anchor."""
         return (self.anchor_base,) + (self.marker_base,) * self.ell + (self.anchor_base,)

@@ -17,7 +17,6 @@ redundancy = n - log_Q(count).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -306,31 +305,6 @@ class BoundReport:
     upper_bound_union: Optional[float]
     upper_bound_lll: float
     trivial_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exact_count": str(self.exact_count),
-            "exact_redundancy": self.exact_redundancy,
-            "lower_bound": self.lower_bound,
-            "upper_bound_union": self.upper_bound_union,
-            "upper_bound_lll": self.upper_bound_lll,
-            "trivial_bound": self.trivial_bound,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoundReport":
-        obj = json.loads(text)
-        return cls(
-            exact_count=int(obj["exact_count"]),
-            exact_redundancy=float(obj["exact_redundancy"]),
-            lower_bound=float(obj["lower_bound"]),
-            upper_bound_union=None if obj["upper_bound_union"] is None else float(obj["upper_bound_union"]),
-            upper_bound_lll=float(obj["upper_bound_lll"]),
-            trivial_bound=float(obj["trivial_bound"]),
-        )
 
 
 def bound_report(params: RllParams) -> BoundReport:

@@ -5,8 +5,8 @@ q-tuple of nonnegative integer counts summing to M: the mixture ratio of
 bases synthesized at one strand position. A composite matrix is a sequence
 of n such columns and is the codeword object everything else works on.
 
-Counts stay exact integers; probabilities are derived on demand as
-counts / M. All combinatorial sizes use arbitrary-precision integers.
+Counts stay exact integers, and all combinatorial sizes use
+arbitrary-precision integers.
 
 Base indices are 1-based throughout the public API (base 1 = "A" for DNA),
 matching the column conventions of the marker construction.
@@ -61,10 +61,6 @@ class CompositeSymbol:
         if self.resolution != params.M:
             raise ValueError(f"counts sum to {self.resolution}, expected M={params.M}")
 
-    def probabilities(self) -> tuple[float, ...]:
-        m = self.resolution
-        return tuple(c / m for c in self.counts)
-
 
 @dataclass(frozen=True)
 class CompositeMatrix:
@@ -92,10 +88,6 @@ class CompositeMatrix:
 
         return np.array([c.counts for c in self.columns], dtype=np.int64).T
 
-    def probability_array(self):
-        """Per-position base distributions as a (q, n) float array."""
-        return self.count_array() / float(self.params.M)
-
     def to_json(self) -> str:
         return json.dumps(
             {"q": self.params.q, "M": self.params.M, "columns": [list(c.counts) for c in self.columns]}
@@ -103,25 +95,28 @@ class CompositeMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "CompositeMatrix":
+        """Parse to_json's format; q, M and every count must be JSON integers."""
         obj = json.loads(text)
-        params = AlphabetParams(q=int(obj["q"]), M=int(obj["M"]))
-        cols = tuple(CompositeSymbol(tuple(int(x) for x in col)) for col in obj["columns"])
+        params = AlphabetParams(q=_json_int(obj["q"], "q"), M=_json_int(obj["M"], "M"))
+        cols = tuple(
+            CompositeSymbol(tuple(_json_int(x, f"column {j} entry {i}") for i, x in enumerate(col, start=1)))
+            for j, col in enumerate(obj["columns"], start=1)
+        )
         return cls(columns=cols, params=params)
 
-    def to_csv(self) -> str:
-        """One column per line, comma-separated counts."""
-        return "\n".join(",".join(str(x) for x in c.counts) for c in self.columns) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "CompositeMatrix":
-        cols = []
-        for line in text.strip().splitlines():
-            cols.append(CompositeSymbol(tuple(int(x) for x in line.split(","))))
-        if not cols:
-            raise ValueError("empty CSV matrix")
-        q = cols[0].q
-        m = cols[0].resolution
-        return cls(columns=tuple(cols), params=AlphabetParams(q=q, M=m))
+# JSON value kinds an input field can take; a bool is never an integer or number.
+_JSON_KINDS = {"integer": int, "number": (int, float), "bool": bool, "string": str, "object": dict}
+
+
+def _is_json(value: object, kind: str) -> bool:
+    return isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
+
+
+def _json_int(value: object, where: str) -> int:
+    if not _is_json(value, "integer"):
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value, default=repr)}")
+    return value
 
 
 def alphabet_size(params: AlphabetParams) -> int:
@@ -217,17 +212,3 @@ def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int
     for i in order[:leftover]:
         out[i] += 1
     return out
-
-
-def quantize_to_symbol(frequencies: Sequence[float], params: AlphabetParams) -> CompositeSymbol:
-    """Nearest composite symbol (L1 on base fractions) to an empirical frequency vector.
-
-    Uses largest-remainder apportionment of M units across the q bases;
-    fractional-part ties break toward the lowest base index.
-    """
-    if len(frequencies) != params.q:
-        raise ValueError(f"expected {params.q} frequencies, got {len(frequencies)}")
-    for f in frequencies:
-        if not math.isfinite(f) or f < 0:
-            raise ValueError(f"frequencies must be finite and nonnegative, got {frequencies}")
-    return CompositeSymbol(tuple(largest_remainder_apportion(frequencies, params.M)))

@@ -19,7 +19,6 @@ from compodna import (
     PerBond,
     ZeroCoverageError,
     align_and_count,
-    apply_breaks,
     apply_breaks_traced,
     construct_codeword,
     estimate_matrix,
@@ -141,21 +140,23 @@ class TestApplyBreaks:
 
     def test_no_breaks_single_fragment(self):
         strand = self._strand()
-        frags = apply_breaks(strand, ExactlyT(t=0), substream(5, LANE_BREAK, 0))
-        assert len(frags) == 1
-        assert (frags[0] == strand).all()
+        pieces = apply_breaks_traced(strand, ExactlyT(t=0), substream(5, LANE_BREAK, 0))
+        assert len(pieces) == 1
+        assert pieces[0][0] == 1
+        assert (pieces[0][1] == strand).all()
 
     def test_one_break_partitions_strand(self):
         strand = self._strand()
-        frags = apply_breaks(strand, ExactlyT(t=1), substream(5, LANE_BREAK, 0))
-        assert len(frags) == 2
-        assert (np.concatenate(frags) == strand).all()
+        pieces = apply_breaks_traced(strand, ExactlyT(t=1), substream(5, LANE_BREAK, 0))
+        assert len(pieces) == 2
+        assert (np.concatenate([frag for _, frag in pieces]) == strand).all()
 
     def test_partition_property_all_models(self):
         strand = self._strand()
         models = [PerBond(p=0.2), ExactlyT(t=3), AtMostT(t=4), ExactlyT(t=2, bond_range=(10, 20))]
         for i, model in enumerate(models):
-            frags = apply_breaks(strand, model, substream(7, LANE_BREAK, i))
+            pieces = apply_breaks_traced(strand, model, substream(7, LANE_BREAK, i))
+            frags = [frag for _, frag in pieces]
             assert all(len(f) > 0 for f in frags)
             assert (np.concatenate(frags) == strand).all()
 
@@ -171,8 +172,8 @@ class TestApplyBreaks:
         strand = self._strand()
         counts = set()
         for i in range(300):
-            frags = apply_breaks(strand, AtMostT(t=2), substream(9, LANE_BREAK, i))
-            counts.add(len(frags) - 1)
+            pieces = apply_breaks_traced(strand, AtMostT(t=2), substream(9, LANE_BREAK, i))
+            counts.add(len(pieces) - 1)
         assert counts == {0, 1, 2}
 
     def test_per_bond_mean_fragments_within_3_sigma(self):
@@ -186,18 +187,21 @@ class TestApplyBreaks:
     def test_too_many_breaks_rejected(self):
         strand = self._strand()
         with pytest.raises(ValueError):
-            apply_breaks(strand, ExactlyT(t=2, bond_range=(5, 5)), substream(1, LANE_BREAK, 0))
+            apply_breaks_traced(strand, ExactlyT(t=2, bond_range=(5, 5)), substream(1, LANE_BREAK, 0))
 
     def test_traced_matches_untraced(self):
+        # The per-strand traced split on the lane's own stream cuts where the
+        # batched (untraced) core cuts strand row 0.
         strand = self._strand()
-        frags = apply_breaks(strand, ExactlyT(t=2), substream(31, LANE_BREAK, 0))
         traced = apply_breaks_traced(strand, ExactlyT(t=2), substream(31, LANE_BREAK, 0))
-        assert len(frags) == len(traced)
+        pool = break_strands(len(strand), ExactlyT(t=2), 1, seed=31)
+        assert len(traced) == len(pool) == 3
         pos = 1
-        for frag, (start, tfrag) in zip(frags, traced):
-            assert start == pos
-            assert (frag == tfrag).all()
+        for (start, frag), first, last in zip(traced, pool.start, pool.end):
+            assert start == pos == first
+            assert (frag == strand[first - 1 : last]).all()
             pos += len(frag)
+        assert pos == len(strand) + 1
 
 
 class TestSampleFragments:

@@ -29,19 +29,26 @@ BASE_CONFIG = {
 
 class TestAlphabet:
     def test_dna_example(self, capsys):
-        code, out, _ = run_cli(capsys, "alphabet", "--q", "4", "--M", "6", "--excluded-base", "1")
+        code, out, _ = run_cli(capsys, "alphabet", "--q", "4", "--M", "6")
         assert code == 0
         assert json.loads(out) == {"Q": 84, "R": 56}
 
     def test_default_excluded_base(self, capsys):
+        # R is counted with base 1 excluded; it is the same for every base.
         code, out, _ = run_cli(capsys, "alphabet", "--q", "2", "--M", "5")
         assert code == 0
         assert json.loads(out) == {"Q": 6, "R": 5}
 
     def test_invalid_base_is_stage_error(self, capsys):
-        code, _, err = run_cli(capsys, "alphabet", "--q", "4", "--M", "6", "--excluded-base", "9")
+        # a base alphabet of one base
+        code, _, err = run_cli(capsys, "alphabet", "--q", "1", "--M", "6")
         assert code == 1
-        assert "error" in err
+        assert err.startswith("error: ") and "base alphabet size" in err
+
+    def test_excluded_base_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["alphabet", "--q", "4", "--M", "6", "--excluded-base", "1"])
+        assert exc.value.code == 2
 
 
 class TestCount:
@@ -175,6 +182,39 @@ class TestEncodeDecode:
         assert code == 1
         assert "column 2" in err
 
+    @pytest.mark.parametrize(
+        "message, where",
+        [
+            ([3.9, 0, 2], "message entry 1 must be an integer, got 3.9"),
+            ([3, 0, True], "message entry 3 must be an integer, got true"),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_encode_rejects_non_integer_entries(self, capsys, tmp_path, message, where):
+        msg_path = tmp_path / "message.json"
+        msg_path.write_text(json.dumps(message))
+        code, out, err = run_cli(
+            capsys, "encode", "--q", "2", "--M", "3", "--n", "13", "--ell", "3", "--message", str(msg_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and where in err
+
+    def test_decode_rejects_non_integer_count(self, capsys, tmp_path):
+        msg_path = tmp_path / "message.json"
+        msg_path.write_text(json.dumps([3, 0, 2]))
+        _, matrix_json, _ = run_cli(
+            capsys, "encode", "--q", "2", "--M", "3", "--n", "13", "--ell", "3", "--message", str(msg_path)
+        )
+        obj = json.loads(matrix_json)
+        obj["columns"][5] = [0.9, 3]  # the first data column; int() would read it as [0, 3]
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "decode", "--ell", "3", "--matrix", str(matrix_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "column 6 entry 1 must be an integer, got 0.9" in err
+
 
 class TestSimulate:
     def _write_config(self, tmp_path, **overrides):
@@ -217,6 +257,17 @@ class TestSimulate:
         assert code == 0
         _, explicit, _ = run_cli(capsys, "simulate", "--config", str(self._write_config(tmp_path)))
         assert out == explicit
+
+    def test_malformed_env_seed_is_one_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COMPODNA_SEED", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(self._write_config(tmp_path)))
+        assert code == 1 and out == ""
+        assert err == "error: COMPODNA_SEED must be an integer, got 'abc'\n"
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([dict(BASE_CONFIG, seed=s) for s in (1, 2, 3)]))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1 and out == ""
+        assert err == "error: COMPODNA_SEED must be an integer, got 'abc'\n"
 
     def test_sweep_csv(self, capsys, tmp_path):
         configs = [dict(BASE_CONFIG, seed=s) for s in (1, 2)]

@@ -85,7 +85,6 @@ class TestLayout:
 
     def test_degenerate_window_all_breakers(self):
         params = marker_params(n=20, ell=1)
-        assert params.is_degenerate
         lay = layout(params)
         assert lay.free_positions == frozenset()
 

@@ -1,7 +1,6 @@
-"""Composite symbol algebra: enumeration, ranking, quantization, serialization."""
+"""Composite symbol algebra: enumeration, ranking, apportionment, serialization."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +11,7 @@ from compodna import (
     CompositeSymbol,
     alphabet_size,
     enumerate_symbols,
-    quantize_to_symbol,
+    largest_remainder_apportion,
     rank_symbol,
     restricted_symbol_count,
     unrank_symbol,
@@ -149,21 +148,21 @@ class TestRankUnrank:
 
 
 class TestQuantize:
+    """largest_remainder_apportion as the quantizer of a frequency vector to M units."""
+
     def test_exact_multiples_pass_through(self):
-        params = AlphabetParams(q=4, M=6)
-        assert quantize_to_symbol((3, 3, 0, 0), params).counts == (3, 3, 0, 0)
+        assert largest_remainder_apportion((3, 3, 0, 0), 6) == [3, 3, 0, 0]
 
     def test_tie_goes_to_lowest_index(self):
-        assert quantize_to_symbol((0.5, 0.5), AlphabetParams(q=2, M=1)).counts == (1, 0)
+        assert largest_remainder_apportion((0.5, 0.5), 1) == [1, 0]
 
     def test_near_uniform_triple(self):
-        # brute-force L1 minimization over all 20 symbols picks (1, 1, 1, 0)
-        params = AlphabetParams(q=4, M=3)
-        assert quantize_to_symbol((0.34, 0.33, 0.33, 0.0), params).counts == (1, 1, 1, 0)
+        # brute-force L1 minimization over all 20 symbols of q=4, M=3 picks (1, 1, 1, 0)
+        assert largest_remainder_apportion((0.34, 0.33, 0.33, 0.0), 3) == [1, 1, 1, 0]
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            quantize_to_symbol((0.0, 0.0, 0.0, 0.0), AlphabetParams(q=4, M=6))
+            largest_remainder_apportion((0.0, 0.0, 0.0, 0.0), 6)
 
     @given(
         q=st.integers(2, 4),
@@ -177,11 +176,11 @@ class TestQuantize:
                 lambda v: sum(v) > 1e-6
             )
         )
-        params = AlphabetParams(q=q, M=M)
-        sym = quantize_to_symbol(freqs, params)
-        assert sum(sym.counts) == M
+        counts = largest_remainder_apportion(freqs, M)
+        assert len(counts) == q and min(counts) >= 0
+        assert sum(counts) == M
         total = sum(freqs)
-        achieved = sum(abs(c / M - f / total) for c, f in zip(sym.counts, freqs))
+        achieved = sum(abs(c / M - f / total) for c, f in zip(counts, freqs))
         assert achieved <= brute_min_l1(freqs, q, M) + 1e-12
 
     @given(q=st.integers(2, 4), M=st.integers(1, 6), data=st.data())
@@ -189,7 +188,7 @@ class TestQuantize:
         params = AlphabetParams(q=q, M=M)
         k = data.draw(st.integers(0, alphabet_size(params) - 1))
         sym = unrank_symbol(k, params)
-        assert quantize_to_symbol([c / M for c in sym.counts], params) == sym
+        assert tuple(largest_remainder_apportion([c / M for c in sym.counts], M)) == sym.counts
 
 
 class TestMatrixSerialization:
@@ -209,13 +208,19 @@ class TestMatrixSerialization:
         assert again == matrix
         assert again.to_json() == text
 
-    @given(q=st.integers(2, 4), M=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
-    def test_csv_roundtrip_bit_exact(self, q, M, n, data):
-        matrix = self._random_matrix(data, q, M, n)
-        text = matrix.to_csv()
-        again = CompositeMatrix.from_csv(text)
-        assert again == matrix
-        assert again.to_csv() == text
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"q": 2.0, "M": 3, "columns": [[3, 0]]}', "q must be an integer, got 2.0"),
+            ('{"q": 2, "M": true, "columns": [[3, 0]]}', "M must be an integer, got true"),
+            ('{"q": 2, "M": 3, "columns": [[3, 0], [0.9, 3]]}', "column 2 entry 1 must be an integer, got 0.9"),
+            ('{"q": 2, "M": 3, "columns": [[2, true]]}', "column 1 entry 2 must be an integer, got true"),
+        ],
+        ids=["float-q", "bool-M", "float-count", "bool-count"],
+    )
+    def test_from_json_rejects_non_integers(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            CompositeMatrix.from_json(text)
 
     def test_json_shape(self):
         params = AlphabetParams(q=2, M=2)
@@ -223,21 +228,9 @@ class TestMatrixSerialization:
             columns=(CompositeSymbol((1, 1)), CompositeSymbol((0, 2))), params=params
         )
         assert matrix.to_json() == '{"q": 2, "M": 2, "columns": [[1, 1], [0, 2]]}'
-        assert matrix.to_csv() == "1,1\n0,2\n"
 
     def test_invalid_column_rejected(self):
         params = AlphabetParams(q=2, M=2)
         with pytest.raises(ValueError, match="column 2"):
             CompositeMatrix(columns=(CompositeSymbol((1, 1)), CompositeSymbol((1, 2))), params=params)
 
-
-def test_probability_array_matches_counts():
-    params = AlphabetParams(q=3, M=4)
-    matrix = CompositeMatrix(
-        columns=(CompositeSymbol((4, 0, 0)), CompositeSymbol((1, 2, 1))), params=params
-    )
-    probs = matrix.probability_array()
-    assert probs.shape == (3, 2)
-    assert probs[:, 0].tolist() == [1.0, 0.0, 0.0]
-    assert probs[:, 1].tolist() == [0.25, 0.5, 0.25]
-    assert math.isclose(probs.sum(), 2.0)
