@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
-from .symbols import AlphabetParams, CompositeMatrix, _is_json, largest_remainder_apportion
+from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, json_fields, json_value, largest_remainder_apportion
 
 _MASK64 = (1 << 64) - 1
 
@@ -137,57 +137,54 @@ def _bond_range(model: Union[ExactlyT, AtMostT], n: int) -> tuple[int, int]:
     return lo, hi
 
 
+# A config's JSON tables, one per section; each key is also its dataclass field's name.
+_T_FIELDS = {"t": ("integer", REQUIRED), "bond_range": ("array", None)}
+_BREAK_MODELS = {
+    "per_bond": (PerBond, {"p": ("number", REQUIRED)}),
+    "exactly_t": (ExactlyT, _T_FIELDS),
+    "at_most_t": (AtMostT, _T_FIELDS),
+}
+_CODE_FIELDS = dict.fromkeys(("q", "M", "n", "ell"), ("integer", REQUIRED)) | {
+    "marker_base": ("integer", MarkerCodeParams.marker_base),
+    "anchor_base": ("integer", MarkerCodeParams.anchor_base),
+}
+_CONFIG_FIELDS = {
+    "code_params": ("object", REQUIRED),
+    "strand_count": ("integer", REQUIRED),
+    "break_model": ("object", REQUIRED),
+    "sample_size": ("integer", None),
+    "with_replacement": ("bool", False),
+    "seed": ("integer", None),  # from_json_dict sets the default seed
+}
+
+
 def break_model_to_json_dict(model: BreakModel) -> dict:
-    if isinstance(model, PerBond):
-        return {"kind": "per_bond", "p": model.p}
-    kind = "exactly_t" if isinstance(model, ExactlyT) else "at_most_t"
-    out = {"kind": kind, "t": model.t}
-    if model.bond_range is not None:
-        out["bond_range"] = list(model.bond_range)
+    kind, table = next((kind, table) for kind, (cls, table) in _BREAK_MODELS.items() if isinstance(model, cls))
+    out = {"kind": kind}
+    for key in table:
+        value = getattr(model, key)
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-def _reject_unknown_keys(obj: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj, default=repr)}")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
-
-
-_REQUIRED = object()
-
-
-def _field(obj: dict, key: str, where: str, kind: str, default: object = _REQUIRED):
-    """obj[key], which must be a JSON `kind`; a missing key takes `default`,
-    and a field whose default is None may also be null."""
-    value = obj.get(key, default)
-    if value is _REQUIRED:
-        raise ValueError(f"missing key {key!r} in {where}")
-    if not (_is_json(value, kind) or value is default is None):
-        raise ValueError(f"{key} in {where} must be a JSON {kind}, got {json.dumps(value, default=repr)}")
-    return value
-
-
-def break_model_from_json_dict(obj: dict) -> BreakModel:
-    kind = _field(obj, "kind", "break_model", "string")
-    if kind not in ("per_bond", "exactly_t", "at_most_t"):
+def break_model_from_json_dict(obj: dict, path: str = "break_model") -> BreakModel:
+    """Read a break model; a ValueError names any unknown key or mistyped field under `path`."""
+    kind = json_value(json_value(obj, "object", path).get("kind"), "string", f"{path}.kind")
+    if kind not in _BREAK_MODELS:
         raise ValueError(f"unknown break model kind {kind!r}")
-    fields = {"p"} if kind == "per_bond" else {"t", "bond_range"}
-    _reject_unknown_keys(obj, {"kind"} | fields, "break_model")
-    if kind == "per_bond":
-        return PerBond(p=float(_field(obj, "p", "break_model", "number")))
-    rng = obj.get("bond_range")
-    if not (rng is None or isinstance(rng, list) and len(rng) == 2 and all(_is_json(b, "integer") for b in rng)):
-        got = json.dumps(rng, default=repr)
-        raise ValueError(f"bond_range in break_model must be null or two JSON integers, got {got}")
-    bond_range = None if rng is None else tuple(rng)
-    model = ExactlyT if kind == "exactly_t" else AtMostT
-    return model(t=_field(obj, "t", "break_model", "integer"), bond_range=bond_range)
-
-
-_CONFIG_KEYS = {"code_params", "strand_count", "break_model", "sample_size", "with_replacement", "seed"}
-_CODE_PARAMS_KEYS = {"q", "M", "n", "ell", "marker_base", "anchor_base"}
+    model, table = _BREAK_MODELS[kind]
+    fields = json_fields(obj, dict(table, kind=("string", REQUIRED)), path)
+    del fields["kind"]
+    if model is PerBond:
+        return PerBond(p=float(fields["p"]))
+    rng = fields["bond_range"]
+    if rng is not None:
+        if len(rng) != 2:
+            raise ValueError(f"{path}.bond_range must hold two integers, got {json.dumps(rng, default=repr)}")
+        where = f"{path}.bond_range entry"
+        fields["bond_range"] = tuple(json_value(b, "integer", f"{where} {i}") for i, b in enumerate(rng, start=1))
+    return model(**fields)
 
 
 @dataclass(frozen=True)
@@ -215,22 +212,10 @@ class ChannelConfig:
             _bond_range(self.break_model, self.code_params.n)
 
     def to_json_dict(self) -> dict:
-        cp = self.code_params
-        return {
-            "code_params": {
-                "q": cp.q,
-                "M": cp.M,
-                "n": cp.n,
-                "ell": cp.ell,
-                "marker_base": cp.marker_base,
-                "anchor_base": cp.anchor_base,
-            },
-            "strand_count": self.strand_count,
-            "break_model": break_model_to_json_dict(self.break_model),
-            "sample_size": self.sample_size,
-            "with_replacement": self.with_replacement,
-            "seed": self.seed,
-        }
+        out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
+        out["code_params"] = {key: getattr(self.code_params, key) for key in _CODE_FIELDS}
+        out["break_model"] = break_model_to_json_dict(self.break_model)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -238,31 +223,13 @@ class ChannelConfig:
     @classmethod
     def from_json_dict(cls, obj: dict, default_seed: Optional[int] = None) -> "ChannelConfig":
         """Parse a config; a ValueError names any unknown key or mistyped field."""
-        _reject_unknown_keys(obj, _CONFIG_KEYS, "config")
-        cp = _field(obj, "code_params", "config", "object")
-        _reject_unknown_keys(cp, _CODE_PARAMS_KEYS, "code_params")
-
-        def code(key: str, default: object = _REQUIRED) -> int:
-            return _field(cp, key, "code_params", "integer", default)
-
-        params = MarkerCodeParams(
-            alphabet=AlphabetParams(q=code("q"), M=code("M")),
-            n=code("n"),
-            ell=code("ell"),
-            marker_base=code("marker_base", 1),
-            anchor_base=code("anchor_base", 2),
-        )
-        seed = _field(obj, "seed", "config", "integer", default_seed)
-        if seed is None:
+        fields = json_fields(obj, dict(_CONFIG_FIELDS, seed=("integer", default_seed)), "config")
+        cp = json_fields(fields["code_params"], _CODE_FIELDS, "config.code_params")
+        fields["code_params"] = MarkerCodeParams(alphabet=AlphabetParams(q=cp.pop("q"), M=cp.pop("M")), **cp)
+        if fields["seed"] is None:
             raise ValueError("config has no seed and no default seed is set")
-        return cls(
-            code_params=params,
-            strand_count=_field(obj, "strand_count", "config", "integer"),
-            break_model=break_model_from_json_dict(_field(obj, "break_model", "config", "object")),
-            sample_size=_field(obj, "sample_size", "config", "integer", None),
-            with_replacement=_field(obj, "with_replacement", "config", "bool", False),
-            seed=seed,
-        )
+        fields["break_model"] = break_model_from_json_dict(fields["break_model"], "config.break_model")
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str, default_seed: Optional[int] = None) -> "ChannelConfig":

@@ -88,8 +88,8 @@ def _code_params(args: argparse.Namespace, q: int, M: int, n: int) -> marker.Mar
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    message = json.loads(_read_input(args.message))
-    digits = [symbols._json_int(x, f"message entry {i}") for i, x in enumerate(message, start=1)]
+    message = symbols.json_value(json.loads(_read_input(args.message)), "array", "message")
+    digits = [symbols.json_value(x, "integer", f"message entry {i}") for i, x in enumerate(message, start=1)]
     params = _code_params(args, args.q, args.M, args.n)
     matrix = marker.construct_codeword(digits, params)
     print(matrix.to_json())
@@ -113,8 +113,8 @@ def _env_seed() -> Optional[int]:
 
 def _load_config(entry: object, args: argparse.Namespace, env_seed: Optional[int]) -> channel.ChannelConfig:
     """A config entry's config; --seed overrides its seed, which overrides `env_seed` ($COMPODNA_SEED)."""
-    if args.seed is not None and isinstance(entry, dict):
-        entry = dict(entry, seed=args.seed)
+    if args.seed is not None:
+        entry = dict(symbols.json_value(entry, "object", "config"), seed=args.seed)
     return channel.ChannelConfig.from_json_dict(entry, default_seed=env_seed)
 
 
@@ -149,8 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report = channel.run_experiment(_load_config(obj, args, env_seed), workers=args.workers)
         print(report.to_json())
         return 0
-    if not isinstance(obj, list):
-        raise ValueError("--sweep expects the config file to hold a JSON array of configs")
+    symbols.json_value(obj, "array", "a --sweep config file")
     # A config that fails to load or to run is reported and skipped; the
     # sweep still runs the rest.
     print(SIMULATE_CSV_HEADER)
@@ -241,26 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, dest="n_range", help="lo:hi[:step] or single value")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("optimal-ell", help="redundancy-minimizing marker length")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    # Flags that several commands share, each written once.
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--q", type=int, required=True)
+    size.add_argument("--M", type=int, required=True)
+    size.add_argument("--n", type=int, required=True)
+    code = argparse.ArgumentParser(add_help=False)
+    code.add_argument("--ell", type=int, required=True)
+    code.add_argument("--marker-base", type=int, default=marker.MarkerCodeParams.marker_base, dest="marker_base")
+    code.add_argument("--anchor-base", type=int, default=marker.MarkerCodeParams.anchor_base, dest="anchor_base")
+
+    p = sub.add_parser("optimal-ell", parents=[size], help="redundancy-minimizing marker length")
     p.set_defaults(func=_cmd_optimal_ell)
 
-    p = sub.add_parser("encode", help="message JSON -> codeword matrix JSON")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--marker-base", type=int, default=1, dest="marker_base")
-    p.add_argument("--anchor-base", type=int, default=2, dest="anchor_base")
+    p = sub.add_parser("encode", parents=[size, code], help="message JSON -> codeword matrix JSON")
     p.add_argument("--message", default="-", help="path to message JSON array, or - for stdin")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="codeword matrix JSON -> message JSON")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--marker-base", type=int, default=1, dest="marker_base")
-    p.add_argument("--anchor-base", type=int, default=2, dest="anchor_base")
+    p = sub.add_parser("decode", parents=[code], help="codeword matrix JSON -> message JSON")
     p.add_argument("--matrix", default="-", help="path to matrix JSON, or - for stdin")
     p.set_defaults(func=_cmd_decode)
 
@@ -288,7 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -96,27 +96,48 @@ class CompositeMatrix:
     @classmethod
     def from_json(cls, text: str) -> "CompositeMatrix":
         """Parse to_json's format; q, M and every count must be JSON integers."""
-        obj = json.loads(text)
-        params = AlphabetParams(q=_json_int(obj["q"], "q"), M=_json_int(obj["M"], "M"))
-        cols = tuple(
-            CompositeSymbol(tuple(_json_int(x, f"column {j} entry {i}") for i, x in enumerate(col, start=1)))
-            for j, col in enumerate(obj["columns"], start=1)
-        )
-        return cls(columns=cols, params=params)
+        obj = json_fields(json.loads(text), _MATRIX_FIELDS, "matrix")
+        cols = []
+        for j, col in enumerate(obj["columns"], start=1):
+            counts = enumerate(json_value(col, "array", f"column {j}"), start=1)
+            cols.append(CompositeSymbol(tuple(json_value(x, "integer", f"column {j} entry {i}") for i, x in counts)))
+        return cls(columns=tuple(cols), params=AlphabetParams(q=obj["q"], M=obj["M"]))
 
 
-# JSON value kinds an input field can take; a bool is never an integer or number.
-_JSON_KINDS = {"integer": int, "number": (int, float), "bool": bool, "string": str, "object": dict}
+# The one reader of JSON input. A kind is a JSON value type; a bool is never
+# an integer or a number. A table maps each key of an object to (kind,
+# default), where the default REQUIRED makes the key mandatory.
+_JSON_KINDS = {"integer": int, "number": (int, float), "bool": bool, "string": str, "object": dict, "array": list}
+REQUIRED = object()
+_MATRIX_FIELDS = {"q": ("integer", REQUIRED), "M": ("integer", REQUIRED), "columns": ("array", REQUIRED)}
 
 
-def _is_json(value: object, kind: str) -> bool:
-    return isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")
-
-
-def _json_int(value: object, where: str) -> int:
-    if not _is_json(value, "integer"):
-        raise ValueError(f"{where} must be an integer, got {json.dumps(value, default=repr)}")
+def json_value(value: object, kind: str, path: str):
+    """`value` if it is a JSON `kind`; otherwise a ValueError naming `path`."""
+    if not (isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")):
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ValueError(f"{path} must be {article} {kind}, got {json.dumps(value, default=repr)}")
     return value
+
+
+def json_fields(obj: object, table: dict, path: str) -> dict:
+    """Every field of the JSON object `obj` at `path`, read against `table`.
+
+    A non-object, an unknown key, a missing required key and a value of the
+    wrong kind are ValueErrors; a field is named `path.key`. A missing key
+    takes its default, and a field whose default is None may also be null.
+    """
+    unknown = sorted(set(json_value(obj, "object", path)) - set(table))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {path}")
+    fields = {}
+    for key, (kind, default) in table.items():
+        value = fields[key] = obj.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"missing key {key!r} in {path}")
+        if not (value is default is None):
+            json_value(value, kind, f"{path}.{key}")
+    return fields
 
 
 def alphabet_size(params: AlphabetParams) -> int:

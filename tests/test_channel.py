@@ -602,6 +602,8 @@ class TestConfigSerialization:
             (None, "strand_count", None),
             ("code_params", "ell", True),  # a bool is not an integer
             ("break_model", "bond_range", [5, 55, 7]),
+            (None, "break_model", []),
+            (None, "code_params", 3),
         ],
     )
     def test_mistyped_field_rejected(self, section, key, value):

@@ -1,12 +1,25 @@
 """Command-line interface behavior and output formats."""
 
+import contextlib
+import copy
+import io
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compodna import AlphabetParams, MarkerCodeParams, RllParams, count_rll_exact, message_radices
+from compodna import (
+    AlphabetParams,
+    ChannelConfig,
+    CompositeMatrix,
+    MarkerCodeParams,
+    RllParams,
+    count_rll_exact,
+    message_radices,
+)
 from compodna.cli import SIMULATE_CSV_HEADER, main
 from compodna.rll import SWEEP_CSV_HEADER
 
@@ -187,8 +200,9 @@ class TestEncodeDecode:
         [
             ([3.9, 0, 2], "message entry 1 must be an integer, got 3.9"),
             ([3, 0, True], "message entry 3 must be an integer, got true"),
+            (5, "message must be an array, got 5"),
         ],
-        ids=["float", "bool"],
+        ids=["float", "bool", "not-an-array"],
     )
     def test_encode_rejects_non_integer_entries(self, capsys, tmp_path, message, where):
         msg_path = tmp_path / "message.json"
@@ -214,6 +228,23 @@ class TestEncodeDecode:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "column 6 entry 1 must be an integer, got 0.9" in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[1, 2]", "matrix must be an object, got [1, 2]"),
+            ('{"q": 2, "M": 3, "columns": [[3, 0], 3]}', "column 2 must be an array, got 3"),
+            ('{"q": 2, "M": 3}', "missing key 'columns' in matrix"),
+        ],
+        ids=["array-matrix", "int-column", "no-columns"],
+    )
+    def test_decode_rejects_malformed_matrix(self, capsys, tmp_path, text, where):
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_text(text)
+        code, out, err = run_cli(capsys, "decode", "--ell", "3", "--matrix", str(matrix_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {where}\n"
 
 
 class TestSimulate:
@@ -340,6 +371,64 @@ class TestSimulate:
         _, serial, _ = run_cli(capsys, "simulate", "--config", str(path))
         _, parallel, _ = run_cli(capsys, "simulate", "--config", str(path), "--workers", "4")
         assert serial == parallel
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _encode(message):
+    """`compodna encode` on a message; main turns a ValueError into exit 1."""
+    stdin = io.StringIO(json.dumps(message))
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["encode", "--q", "2", "--M", "3", "--n", "13", "--ell", "3", "--message", "-"]) in (0, 1)
+
+
+class TestJsonInputs:
+    # A valid config, matrix and message, and how each is read.
+    INPUTS = {
+        "config": (BASE_CONFIG, ChannelConfig.from_json_dict),
+        "matrix": (
+            {"q": 2, "M": 3, "columns": [[3, 0], [0, 3], [0, 3], [0, 3], [3, 0], [3, 0], [3, 0], [2, 1]]},
+            lambda doc: CompositeMatrix.from_json(json.dumps(doc)),
+        ),
+        "message": ([3, 0, 2], _encode),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_field_loads_or_is_a_value_error(self, name, data):
+        # Never a TypeError, KeyError or AttributeError, whatever the shape.
+        doc, load = self.INPUTS[name]
+        path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+        try:
+            load(_replaced(doc, path, data.draw(JSON_VALUES, label="value")))
+        except ValueError:
+            pass
 
 
 class TestVerify:

@@ -215,8 +215,12 @@ class TestMatrixSerialization:
             ('{"q": 2, "M": true, "columns": [[3, 0]]}', "M must be an integer, got true"),
             ('{"q": 2, "M": 3, "columns": [[3, 0], [0.9, 3]]}', "column 2 entry 1 must be an integer, got 0.9"),
             ('{"q": 2, "M": 3, "columns": [[2, true]]}', "column 1 entry 2 must be an integer, got true"),
+            ('{"q": 2, "M": 3, "columns": [[3, 0], 3]}', "column 2 must be an array, got 3"),
+            ("[1, 2]", r"matrix must be an object, got \[1, 2\]"),
+            ('{"q": 2, "M": 3}', "missing key 'columns' in matrix"),
+            ('{"q": 2, "M": 3, "columns": [[3, 0]], "n": 1}', r"unknown key\(s\) 'n' in matrix"),
         ],
-        ids=["float-q", "bool-M", "float-count", "bool-count"],
+        ids=["float-q", "bool-M", "float-count", "bool-count", "int-column", "array-matrix", "no-columns", "unknown-key"],
     )
     def test_from_json_rejects_non_integers(self, text, where):
         with pytest.raises(ValueError, match=where):
