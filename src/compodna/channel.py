@@ -493,16 +493,7 @@ class ExperimentReport:
     estimated_matrix: CompositeMatrix
 
     def to_json_dict(self) -> dict:
-        return {
-            "fragments_sampled": self.fragments_sampled,
-            "discarded_fraction": self.discarded_fraction,
-            "marker_only_fraction": self.marker_only_fraction,
-            "coverage_min": self.coverage_min,
-            "coverage_mean": self.coverage_mean,
-            "symbol_error_count": self.symbol_error_count,
-            "exact_recovery": self.exact_recovery,
-            "estimated_matrix": json.loads(self.estimated_matrix.to_json()),
-        }
+        return {**vars(self), "estimated_matrix": json.loads(self.estimated_matrix.to_json())}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

@@ -129,17 +129,13 @@ SIMULATE_CSV_HEADER = (
 def _simulate_csv_row(config: channel.ChannelConfig, report: channel.ExperimentReport) -> str:
     cp = config.code_params
     model = channel.break_model_to_json_dict(config.break_model)
-    param = f"{model['p']:.12g}" if "p" in model else model["t"]
-    lo, hi = model.get("bond_range", ("", ""))
-    return (
-        f"{config.seed},{cp.q},{cp.M},{cp.n},{cp.ell},{cp.marker_base},{cp.anchor_base},"
-        f"{config.strand_count},{model['kind']},{param},{lo},{hi},"
-        f"{'' if config.sample_size is None else config.sample_size},"
-        f"{'true' if config.with_replacement else 'false'},{report.fragments_sampled},"
-        f"{report.discarded_fraction:.12g},{report.marker_only_fraction:.12g},"
-        f"{report.coverage_min:.12g},{report.coverage_mean:.12g},"
-        f"{report.symbol_error_count},{'true' if report.exact_recovery else 'false'}"
-    )
+    lo, hi = model.get("bond_range", (None, None))
+    return symbols.csv_row((
+        config.seed, cp.q, cp.M, cp.n, cp.ell, cp.marker_base, cp.anchor_base, config.strand_count, model["kind"],
+        model.get("p", model.get("t")), lo, hi, config.sample_size, config.with_replacement, report.fragments_sampled,
+        report.discarded_fraction, report.marker_only_fraction, report.coverage_min, report.coverage_mean,
+        report.symbol_error_count, report.exact_recovery,
+    ))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -285,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

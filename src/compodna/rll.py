@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
+
+from .symbols import csv_row
 
 _BRUTE_LIMIT = 20
 
@@ -323,25 +325,11 @@ def bound_report(params: RllParams) -> BoundReport:
     )
 
 
-SWEEP_CSV_HEADER = (
-    "Q,R,ell,n,exact_count,exact_redundancy,lower_bound,"
-    "upper_bound_union,upper_bound_lll,trivial_bound"
-)
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x:.12g}"
+SWEEP_CSV_HEADER = ",".join(["Q", "R", "ell", "n", *(field.name for field in fields(BoundReport))])
 
 
 def sweep_csv_rows(Q: int, R: int, ells: Sequence[int], ns: Sequence[int]) -> list[str]:
-    """One CSV row per (Q, R, ell, n); floats at 12 significant digits."""
-    rows = []
-    for ell in ells:
-        for n in ns:
-            rep = bound_report(RllParams(Q=Q, R=R, ell=ell, n=n))
-            rows.append(
-                f"{Q},{R},{ell},{n},{rep.exact_count},{_fmt(rep.exact_redundancy)},"
-                f"{_fmt(rep.lower_bound)},{_fmt(rep.upper_bound_union)},"
-                f"{_fmt(rep.upper_bound_lll)},{_fmt(rep.trivial_bound)}"
-            )
-    return rows
+    """One CSV row per (Q, R, ell, n), in SWEEP_CSV_HEADER's columns."""
+    reports = ((ell, n, bound_report(RllParams(Q=Q, R=R, ell=ell, n=n))) for ell in ells for n in ns)
+    # vars() reads the fields shallowly; dataclasses.astuple would deep-copy them.
+    return [csv_row((Q, R, ell, n, *vars(rep).values())) for ell, n, rep in reports]

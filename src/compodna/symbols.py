@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,6 @@ class CompositeMatrix:
 
     def count_array(self):
         """Counts as a (q, n) numpy int array (row i-1 = base i)."""
-        import numpy as np
-
         return np.array([c.counts for c in self.columns], dtype=np.int64).T
 
     def to_json(self) -> str:
@@ -138,6 +138,16 @@ def json_fields(obj: object, table: dict, path: str) -> dict:
         if not (value is default is None):
             json_value(value, kind, f"{path}.{key}")
     return fields
+
+
+def csv_row(values: Iterable[object]) -> str:
+    """One CSV row, by the one cell rule: None is an empty cell, a bool is
+    true or false, a float has 12 significant digits, anything else is str."""
+    return ",".join([
+        "" if v is None else ("true" if v else "false") if isinstance(v, bool)
+        else f"{v:.12g}" if isinstance(v, float) else str(v)
+        for v in values
+    ])
 
 
 def alphabet_size(params: AlphabetParams) -> int:

@@ -313,6 +313,39 @@ class TestSimulate:
         assert lines[2].split(",")[0] == "2"
         assert lines[1].split(",")[-1] in ("true", "false")
 
+    def test_sweep_row_layout(self, capsys, tmp_path):
+        # Every row has the header's cells; config cells read the config back,
+        # empty where a value is missing, and report cells read the report back.
+        configs = [
+            dict(BASE_CONFIG, seed=1, break_model={"kind": "per_bond", "p": 0.01}),
+            dict(BASE_CONFIG, seed=2),
+            dict(BASE_CONFIG, seed=3, break_model={"kind": "exactly_t", "t": 1}),
+            dict(BASE_CONFIG, seed=4, break_model={"kind": "at_most_t", "t": 2}, sample_size=250),
+            dict(BASE_CONFIG, seed=5, sample_size=700, with_replacement=True),
+        ]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(configs))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == len(configs)
+        for config, row in zip(configs, rows):
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert len(row.split(",")) == len(SIMULATE_CSV_HEADER.split(","))
+            model = config["break_model"]
+            lo, hi = model.get("bond_range", ("", ""))
+            assert cells["seed"] == str(config["seed"])
+            assert [cells[key] for key in config["code_params"]] == [str(v) for v in config["code_params"].values()]
+            assert cells["break_kind"] == model["kind"]
+            assert float(cells["break_param"]) == model.get("p", model.get("t"))
+            assert (cells["bond_lo"], cells["bond_hi"]) == (str(lo), str(hi))
+            assert cells["sample_size"] == ("" if config["sample_size"] is None else str(config["sample_size"]))
+            assert cells["with_replacement"] == ("true" if config["with_replacement"] else "false")
+            _, report, _ = run_cli(capsys, "simulate", "--config", str(self._write_config(tmp_path, **config)))
+            for key, value in json.loads(report).items():
+                if key != "estimated_matrix":
+                    assert cells[key] == (str(value).lower() if isinstance(value, bool) else f"{value:.12g}")
+
     def test_sweep_runs_every_config(self, capsys, tmp_path):
         # The middle config samples one fragment of a once-broken strand, so
         # some column has no coverage; the configs either side still run.
@@ -429,6 +462,19 @@ class TestJsonInputs:
             load(_replaced(doc, path, data.draw(JSON_VALUES, label="value")))
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--q", "2", "--M", "3", "--n", "13", "--ell", "3", "--message", "-"],
+    ["decode", "--ell", "3", "--matrix", "-"],
+    ["simulate", "--config", "-"],
+])
+def test_deeply_nested_input_is_an_error_line(capsys, argv):
+    # json.loads raises RecursionError, not ValueError, past its nesting limit.
+    with mock.patch.object(sys, "stdin", io.StringIO("[" * 100_000)):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestVerify:

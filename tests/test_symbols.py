@@ -1,4 +1,4 @@
-"""Composite symbol algebra: enumeration, ranking, apportionment, serialization."""
+"""Composite symbol algebra: enumeration, ranking, apportionment, serialization, CSV cells."""
 
 import itertools
 
@@ -16,6 +16,7 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
+from compodna.symbols import csv_row
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -238,3 +239,12 @@ class TestMatrixSerialization:
         with pytest.raises(ValueError, match="column 2"):
             CompositeMatrix(columns=(CompositeSymbol((1, 1)), CompositeSymbol((1, 2))), params=params)
 
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [(None, ""), (True, "true"), (False, "false"), (0, "0"), (10**30, "1" + "0" * 30),
+     (5000.0, "5000"), (0.0, "0"), (1e-13, "1e-13")],
+)
+def test_csv_cell_rule(value, cell):
+    assert csv_row([value]) == cell
+    assert csv_row(["x", value, 1]) == f"x,{cell},1"
