@@ -33,8 +33,6 @@ import numpy as np
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, json_fields, json_value, largest_remainder_apportion
 
-_MASK64 = (1 << 64) - 1
-
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
 # and the message draw each get a disjoint key space.
 LANE_SYNTH = 0
@@ -50,15 +48,17 @@ _DOUBLES_PER_BLOCK = 4
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
-    """Independent Philox stream keyed by (seed, lane, index).
+    """Independent Philox stream keyed by (seed, lane, index); seed in [0, 2^64).
 
     Index 0 is the lane's own stream, which the batched stages read row by
     row (see the module docstring). Other indices give independent streams
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
     if not 0 <= index < 1 << 60:
         raise ValueError(f"substream index {index} outside [0, 2^60)")
-    key = np.array([seed & _MASK64, ((lane << 60) | index) & _MASK64], dtype=np.uint64)
+    key = np.array([seed, (lane << 60) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -76,18 +76,6 @@ def _uniform_rows(seed: int, lane: int, count: int, width: int) -> Iterator[tupl
         yield lo, gen.random(rows * stride).reshape(rows, stride)[:, :width]
 
 
-def _check_break_count(t: int, bond_range: Optional[tuple[int, int]]) -> None:
-    if t < 0:
-        raise ValueError(f"break count must be >= 0, got {t}")
-    if bond_range is None:
-        return
-    lo, hi = bond_range
-    if lo > hi:
-        raise ValueError(f"bond range ({lo}, {hi}) is empty")
-    if t > hi - lo + 1:
-        raise ValueError(f"cannot place {t} distinct breaks among {hi - lo + 1} bonds")
-
-
 @dataclass(frozen=True)
 class PerBond:
     """Each of the n-1 backbone bonds breaks independently with probability p."""
@@ -100,41 +88,44 @@ class PerBond:
 
 
 @dataclass(frozen=True)
-class ExactlyT:
-    """Exactly t breaks at uniformly chosen distinct bonds.
-
-    `bond_range` (lo, hi), 1-based inclusive, restricts the candidate bonds;
-    None means all of [1, n-1].
-    """
+class _TBreaks:
+    """The t-break models' one body. `bond_range` (lo, hi), 1-based inclusive,
+    restricts the candidate bonds; None means all of [1, n-1]."""
 
     t: int
     bond_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        _check_break_count(self.t, self.bond_range)
+        if self.t < 0:
+            raise ValueError(f"break count must be >= 0, got {self.t}")
+        if self.bond_range is not None:
+            self.bonds()
+
+    def bonds(self, n: Optional[int] = None) -> tuple[int, int]:
+        """Candidate bonds (lo, hi) on strands of length n; without n, only a
+        given `bond_range` is checked, not its fit in [1, n-1]."""
+        lo, hi = self.bond_range if self.bond_range is not None else (1, n - 1)
+        if n is not None and (lo < 1 or hi > n - 1):
+            raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
+        if lo > hi:
+            raise ValueError(f"bond range ({lo}, {hi}) is empty")
+        if self.t > hi - lo + 1:
+            raise ValueError(f"cannot place {self.t} distinct breaks among {hi - lo + 1} bonds")
+        return lo, hi
+
+
+# Siblings, not parent and child: an AtMostT must never pass as an ExactlyT.
+@dataclass(frozen=True)
+class ExactlyT(_TBreaks):
+    """Exactly t breaks at uniformly chosen distinct bonds."""
 
 
 @dataclass(frozen=True)
-class AtMostT:
+class AtMostT(_TBreaks):
     """Break count uniform over 0..t, at uniformly chosen distinct bonds."""
-
-    t: int
-    bond_range: Optional[tuple[int, int]] = None
-
-    def __post_init__(self) -> None:
-        _check_break_count(self.t, self.bond_range)
 
 
 BreakModel = Union[PerBond, ExactlyT, AtMostT]
-
-
-def _bond_range(model: Union[ExactlyT, AtMostT], n: int) -> tuple[int, int]:
-    """Candidate bonds (lo, hi) of a t-break model on strands of length n."""
-    lo, hi = model.bond_range if model.bond_range is not None else (1, n - 1)
-    if lo < 1 or hi > n - 1:
-        raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
-    _check_break_count(model.t, (lo, hi))
-    return lo, hi
 
 
 # A config's JSON tables, one per section; each key is also its dataclass field's name.
@@ -209,7 +200,7 @@ class ChannelConfig:
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {self.sample_size}")
         if not isinstance(self.break_model, PerBond):
-            _bond_range(self.break_model, self.code_params.n)
+            self.break_model.bonds(self.code_params.n)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -276,7 +267,7 @@ def _cut_mask(u: np.ndarray, n: int, model: BreakModel) -> np.ndarray:
     if isinstance(model, PerBond):
         mask[:, 1:] = u < model.p
         return mask
-    lo, hi = _bond_range(model, n)
+    lo, hi = model.bonds(n)
     span, t = hi - lo + 1, model.t
     counts = t if isinstance(model, ExactlyT) else np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
     row = np.arange(rows)

@@ -18,14 +18,18 @@ from . import channel, marker, rll, symbols
 SEED_ENV_VAR = "COMPODNA_SEED"
 
 
-def _parse_range(text: str) -> list[int]:
-    """"lo:hi" or "lo:hi:step" (inclusive), or a single integer."""
-    parts = [int(part) for part in text.split(":")]
+def _parse_range(text: str, flag: str) -> list[int]:
+    """"lo:hi" or "lo:hi:step" (inclusive), or a single integer; an error names `flag`."""
+    bad = ValueError(f"{flag}: bad range {text!r}")
+    try:
+        parts = [int(part) for part in text.split(":")]
+    except ValueError:
+        raise bad from None
     if len(parts) == 1:
         return parts
     lo, hi, step = (parts + [1])[:3]
     if len(parts) > 3 or step < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+        raise bad
     return list(range(lo, hi + 1, step))
 
 
@@ -54,8 +58,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    ells = _parse_range(args.ell_range)
-    ns = _parse_range(args.n_range)
+    ells, ns = _parse_range(args.ell_range, "--ell-range"), _parse_range(args.n_range, "--n-range")
     print(rll.SWEEP_CSV_HEADER)
     for row in rll.sweep_csv_rows(args.Q, args.R, ells, ns):
         print(row)

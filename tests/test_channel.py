@@ -1,5 +1,6 @@
 """Channel pipeline: synthesis, breaking, sampling, alignment, estimation."""
 
+import dataclasses
 import json
 import math
 import random
@@ -33,7 +34,7 @@ from compodna import (
     synthesize,
 )
 from compodna import channel
-from compodna.channel import LANE_BREAK, LANE_SAMPLE, align_pool, break_strands
+from compodna.channel import LANE_BREAK, LANE_SAMPLE, LANE_SYNTH, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
 
@@ -465,6 +466,43 @@ class TestBondRangeValidation:
         monkeypatch.setattr(channel, "synthesize", no_synthesis)
         assert main(["simulate", "--config", str(path)]) == 1
         assert "bond range (0, 70) outside [1, 59]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bond_range", [None, (5, 55)])
+@pytest.mark.parametrize("kind, other, json_kind", [(ExactlyT, AtMostT, "exactly_t"), (AtMostT, ExactlyT, "at_most_t")])
+def test_t_models_share_a_body_but_stay_distinct(kind, other, json_kind, bond_range):
+    # An AtMostT that passed as an ExactlyT would be written as exactly_t and
+    # draw exactly t breaks.
+    model = kind(t=1, bond_range=bond_range)
+    assert not isinstance(model, other)
+    assert model != other(t=1, bond_range=bond_range)
+    assert len({model, other(t=1, bond_range=bond_range), kind(t=1, bond_range=bond_range)}) == 2
+    assert repr(model) == f"{kind.__name__}(t=1, bond_range={bond_range!r})"
+    changed = dataclasses.replace(model, t=2)
+    assert type(changed) is kind and changed == kind(t=2, bond_range=bond_range)
+    for name in ("t", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, 2)
+    obj = channel.break_model_to_json_dict(model)
+    assert obj["kind"] == json_kind
+    again = channel.break_model_from_json_dict(obj)
+    assert type(again) is kind and again == model
+
+
+class TestSeedRange:
+    """Seeds outside [0, 2^64) are rejected, not reduced onto a seed inside it."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_substream_rejects(self, seed):
+        with pytest.raises(ValueError, match=rf"seed {seed} outside \[0, 2\^64\)"):
+            substream(seed, LANE_SYNTH)
+
+    def test_substream_accepts_the_ends(self):
+        assert substream(0, LANE_SYNTH).random() != substream(2**64 - 1, LANE_SYNTH).random()
+
+    def test_run_experiment_rejects(self):
+        with pytest.raises(ValueError, match="seed 18446744073709551616 outside"):
+            run_experiment(make_config(seed=2**64))
 
 
 class TestTraceStats:

@@ -128,6 +128,15 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error: ") and "1:3:1:9" in err
 
+    @pytest.mark.parametrize("flag", ["--ell-range", "--n-range"])
+    @pytest.mark.parametrize("text", ["abc", "1:x", "1:3:"])
+    def test_malformed_range_names_its_flag(self, capsys, flag, text):
+        ranges = {"--ell-range": "2", "--n-range": "8", flag: text}
+        code, out, err = run_cli(capsys, "bounds", "--Q", "2", "--R", "1", *(x for pair in ranges.items() for x in pair))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag}: bad range {text!r}\n"
+
     def test_rows_past_int_str_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         code, out, err = run_cli(
@@ -372,6 +381,19 @@ class TestSimulate:
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
         assert err.startswith("error: config 1: ") and "sample_sise" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_sweep_rejects_seeds_outside_64_bits(self, capsys, tmp_path):
+        # Reduced modulo 2^64, -1 would alias 2^64 - 1 and 2^64 would alias 0.
+        configs = [dict(BASE_CONFIG, seed=seed) for seed in (-1, 2**64 - 1, 2**64)]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(configs))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == [str(2**64 - 1)]
+        assert err.splitlines() == [
+            "error: config 0: seed -1 outside [0, 2^64)",
+            f"error: config 2: seed {2**64} outside [0, 2^64)",
+        ]
 
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
