@@ -83,8 +83,10 @@ class PerBond:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
+        # Check before converting: float() overflows on an int past 1e308.
+        if not 0 <= self.p <= 1:
             raise ValueError(f"bond break probability must be in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,7 @@ def break_model_from_json_dict(obj: dict, path: str = "break_model") -> BreakMod
     model, table = _BREAK_MODELS[kind]
     fields = json_fields(obj, dict(table, kind=("string", REQUIRED)), path)
     del fields["kind"]
-    if model is PerBond:
-        return PerBond(p=float(fields["p"]))
-    rng = fields["bond_range"]
+    rng = fields.get("bond_range")
     if rng is not None:
         if len(rng) != 2:
             raise ValueError(f"{path}.bond_range must hold two integers, got {json.dumps(rng, default=repr)}")
@@ -409,8 +409,6 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
 
         usable = kind <= _SUFFIX
         size = length[usable]
-        if not len(size):
-            continue
         first = np.cumsum(size) - size  # each fragment's first slot among the block's aligned bases
         column0 = np.where(kind[usable] == _SUFFIX, n - size, 0)
         slot = np.arange(int(size.sum()))
@@ -444,7 +442,7 @@ def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeP
 
 
 class ZeroCoverageError(ValueError):
-    """A data column received no aligned fragments; message names the column."""
+    """A data column has no aligned base it may weigh; message names its role and column."""
 
 
 def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> CompositeMatrix:
@@ -461,8 +459,6 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     freqs = count_table.astype(float).T.tolist()
     cols = {j: lay.column(j, (m,)) for j in lay.marker_positions}
     for j in lay.data_positions():
-        if sum(freqs[j - 1]) <= 0:
-            raise ZeroCoverageError(f"no coverage at data column {j}")
         weights = [freqs[j - 1][b] for b in lay.bases[j - 1]]
         if sum(weights) <= 0:
             raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")

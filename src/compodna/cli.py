@@ -59,22 +59,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     ells, ns = _parse_range(args.ell_range, "--ell-range"), _parse_range(args.n_range, "--n-range")
-    print(rll.SWEEP_CSV_HEADER)
-    for row in rll.sweep_csv_rows(args.Q, args.R, ells, ns):
-        print(row)
+    # Every row is computed before any is printed, so a bad point prints no table.
+    print("\n".join([rll.SWEEP_CSV_HEADER, *rll.sweep_csv_rows(args.Q, args.R, ells, ns)]))
     return 0
 
 
 def _cmd_optimal_ell(args: argparse.Namespace) -> int:
     opt = marker.optimal_marker_length(args.q, args.M, args.n)
-    params = marker.MarkerCodeParams(
-        alphabet=symbols.AlphabetParams(q=args.q, M=args.M), n=args.n, ell=opt.ell_integer
-    )
     out = {
         "ell_formula": opt.ell_formula,
         "ell_integer": opt.ell_integer,
         "redundancy_closed_form": opt.redundancy_at_optimum,
-        "redundancy_at_integer": marker.code_redundancy_formula(params),
+        "redundancy_at_integer": opt.redundancy_at_integer,
     }
     print(json.dumps(out))
     return 0

@@ -118,11 +118,8 @@ class LayoutMap:
 
     def column(self, j: int, weights: Sequence[int]) -> CompositeSymbol:
         """Column j's symbol with `weights` on its allowed bases, zero elsewhere."""
-        bases = self.bases[j - 1]
-        if len(bases) == self.alphabet.q:
-            return CompositeSymbol(tuple(weights))
         counts = [0] * self.alphabet.q
-        for base, weight in zip(bases, weights):
+        for base, weight in zip(self.bases[j - 1], weights):
             counts[base] = weight
         return CompositeSymbol(tuple(counts))
 
@@ -220,12 +217,12 @@ def is_valid_codeword(matrix: CompositeMatrix, params: MarkerCodeParams) -> Code
         violation = f"length mismatch: matrix has {matrix.n} columns, params expect {params.n}"
         return CodewordCheck(ok=False, violations=(violation,))
     # A column's counts sum to M, so all of M on its allowed bases means no
-    # weight anywhere else, and a column that may weigh every base is valid.
-    lay, q, m = layout(params), params.q, params.M
+    # weight anywhere else; a column that may weigh every base always has it.
+    lay, m = layout(params), params.M
     violations = tuple(
         f"column {j}: {_VIOLATIONS[role]}"
         for j, (col, role, bases) in enumerate(zip(matrix.columns, lay.roles, lay.bases), start=1)
-        if len(bases) < q and sum([col.counts[b] for b in bases]) != m
+        if sum([col.counts[b] for b in bases]) != m
     )
     return CodewordCheck(ok=not violations, violations=violations)
 
@@ -236,12 +233,10 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     if not check:
         raise InvalidCodewordError("; ".join(check.violations))
     lay = layout(params)
-    message = []
-    for j in lay.data_positions():
-        # Rank the counts on the allowed bases; all q of them need no gather.
-        counts, bases = codeword.columns[j - 1].counts, lay.bases[j - 1]
-        message.append(_rank_composition(counts if len(bases) == params.q else [counts[b] for b in bases]))
-    return message
+    return [
+        _rank_composition([codeword.columns[j - 1].counts[b] for b in lay.bases[j - 1]])
+        for j in lay.data_positions()
+    ]
 
 
 def _breaker_cost(alphabet: AlphabetParams) -> float:
@@ -273,6 +268,7 @@ class OptimalMarkerLength:
     ell_formula: float
     ell_integer: int
     redundancy_at_optimum: float
+    redundancy_at_integer: float
 
 
 def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
@@ -281,7 +277,7 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
     The continuous optimum is ell* = sqrt((n-4)/2 * log_Q(Q/(Q-R))) with
     minimized redundancy 4 + 2 sqrt(2(n-4) log_Q(Q/(Q-R))) - 2 log_Q(Q/(Q-R)).
     `ell_integer` scans code_redundancy_formula over all feasible integer
-    ell (ties to the smaller ell).
+    ell (ties to the smaller ell); `redundancy_at_integer` is its minimum.
     """
     if n < 9:
         raise ValueError(f"need n >= 9, got {n}")
@@ -290,12 +286,12 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
     ell_formula = math.sqrt((n - 4) / 2 * lam)
     red_opt = 4 + 2 * math.sqrt(2 * (n - 4) * lam) - 2 * lam
 
-    best_ell, best_red = None, None
-    for ell in range(1, (n - 5) // 2 + 1):
-        red = code_redundancy_formula(MarkerCodeParams(alphabet=alphabet, n=n, ell=ell))
-        if best_red is None or red < best_red:
-            best_ell, best_red = ell, red
-    return OptimalMarkerLength(ell_formula=ell_formula, ell_integer=best_ell, redundancy_at_optimum=red_opt)
+    # (redundancy, ell) pairs: the minimum breaks ties to the smaller ell.
+    best_red, best_ell = min(
+        (code_redundancy_formula(MarkerCodeParams(alphabet=alphabet, n=n, ell=ell)), ell)
+        for ell in range(1, (n - 5) // 2 + 1)
+    )
+    return OptimalMarkerLength(ell_formula, best_ell, red_opt, best_red)
 
 
 def continuous_redundancy(q: int, M: int, n: int, ell: float) -> float:

@@ -39,6 +39,9 @@ class RllParams:
     n: int
 
     def __post_init__(self) -> None:
+        # Every figure here is in log base Q, which needs Q >= 2.
+        if self.Q < 2:
+            raise ValueError(f"alphabet size Q must be >= 2, got {self.Q}")
         if not 0 <= self.R < self.Q:
             raise ValueError(f"need 0 <= R < Q, got R={self.R}, Q={self.Q}")
         if self.ell < 1:
@@ -117,21 +120,16 @@ def count_rll_exact(params: RllParams) -> int:
     restricted ones, gives c_n = (Q-R) sum_{k<ell} R^k c_{n-1-k} for n >= ell,
     with c_i = Q^i for i < ell. So c_n = sum_i b_i Q^i, where
     b = x^n mod P(x) and P(x) = x^ell - (Q-R) sum_{k<ell} R^k x^(ell-1-k).
-    x^n mod P is built left to right over the bits of n: a square per bit and
-    a multiply by x (shift, then one reduction) per set bit, so the count
-    costs O(ell^2 log n) big-integer multiplications. Every coefficient is a
-    non-negative exact int.
+    x^n mod P is built from x^0, left to right over the bits of n: a square
+    per bit and a multiply by x (shift, then one reduction) per set bit, so
+    the count costs O(ell^2 log n) big-integer multiplications. Every
+    coefficient is a non-negative exact int.
     """
     Q, R, ell, n = params.Q, params.R, params.ell, params.n
-    good = Q - R
-    if n < ell:
-        return Q**n
-    if ell == 1:
-        return good**n
     # x^ell = sum_j tail[j] x^j mod P, with tail[j] = (Q-R) R^(ell-1-j).
-    tail = [good * R ** (ell - 1 - j) for j in range(ell)]
-    poly = [0, 1] + [0] * (ell - 2)  # x, the top bit of n
-    for bit in bin(n)[3:]:
+    tail = [(Q - R) * R ** (ell - 1 - j) for j in range(ell)]
+    poly = [1] + [0] * (ell - 1)  # x^0
+    for bit in bin(n)[2:]:
         poly = _square(poly)
         _reduce(poly, tail)
         if bit == "1":

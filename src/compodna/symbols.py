@@ -189,8 +189,6 @@ def _rank_composition(counts: Sequence[int]) -> int:
 
 
 def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
-    if parts == 1:
-        return (total,)
     r = index
     subset = [0] * (parts - 1)
     for j in range(parts - 1, 0, -1):
@@ -199,11 +197,9 @@ def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
             s += 1
         subset[j - 1] = s
         r -= math.comb(s, j)
-    counts = [subset[0]]
-    for j in range(1, parts - 1):
-        counts.append(subset[j] - subset[j - 1] - 1)
-    counts.append(total + parts - 2 - subset[-1])
-    return tuple(counts)
+    # Each count is the gap between consecutive bars among total + parts - 1 slots.
+    edges = [-1, *subset, total + parts - 1]
+    return tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def enumerate_symbols(params: AlphabetParams) -> list[CompositeSymbol]:

@@ -296,6 +296,16 @@ class TestEstimateMatrix:
         with pytest.raises(ZeroCoverageError, match="column 8"):
             estimate_matrix(table, params)
 
+    @pytest.mark.parametrize("column, role, marker_weight", [(7, "breaker", 0), (7, "breaker", 5), (8, "free", 0)])
+    def test_zero_coverage_names_role_and_column(self, column, role, marker_weight):
+        # A breaker column seen only on the marker base has no base it may weigh.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        table = np.ones((4, 30), dtype=np.int64)
+        table[:, column - 1] = 0
+        table[0, column - 1] = marker_weight
+        with pytest.raises(ZeroCoverageError, match=f"^no usable coverage at {role} column {column}$"):
+            estimate_matrix(table, params)
+
     def test_marker_columns_do_not_need_coverage(self):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         table = np.ones((4, 30), dtype=np.int64)

@@ -23,7 +23,7 @@ from compodna import (
     substream,
     synthesize,
 )
-from compodna.channel import LANE_BREAK, LANE_SAMPLE, align_pool, break_strands
+from compodna.channel import LANE_BREAK, LANE_SAMPLE, FragmentPool, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -160,6 +160,23 @@ class TestArrayClassifierMatchesOracle:
         result = align_pool(strands, picked, params)
         assert [tuple(FragmentClass)[c] for c in result.classes] == classes
         assert (result.count_table == table).all()
+
+
+    def test_first_block_without_usable_fragments(self):
+        # 256 one-base fragments fill the first block; the rest are whole strands.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        strands = synthesize(random_codeword(params, np.random.default_rng(3)), 300, seed=3)
+        pool = FragmentPool(
+            strand=np.arange(300, dtype=np.int32),
+            start=np.array([5] * 256 + [1] * 44, dtype=np.int32),
+            end=np.array([5] * 256 + [30] * 44, dtype=np.int32),
+        )
+        frags = [strands[s, a - 1 : b] for s, a, b in zip(pool.strand, pool.start, pool.end)]
+        classes, table = oracle_align(frags, params)
+        assert set(classes[:256]) == {FragmentClass.DISCARD} and classes[256:] == [FragmentClass.FULL] * 44
+        for result in (align_pool(strands, pool, params), align_and_count(frags, params)):
+            assert [tuple(FragmentClass)[c] for c in result.classes] == classes
+            assert (result.count_table == table).all() and table.sum() == 44 * 30
 
 
 class TestFloydDraws:

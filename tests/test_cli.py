@@ -19,6 +19,7 @@ from compodna import (
     RllParams,
     count_rll_exact,
     message_radices,
+    optimal_marker_length,
 )
 from compodna.cli import SIMULATE_CSV_HEADER, main
 from compodna.rll import SWEEP_CSV_HEADER
@@ -159,6 +160,18 @@ class TestOptimalEll:
         assert obj["ell_formula"] == pytest.approx(3.449855845460932, abs=1e-9)
         assert obj["redundancy_closed_form"] == pytest.approx(17.303527325407853, abs=1e-9)
         assert obj["redundancy_at_integer"] == pytest.approx(17.4384408465381, abs=1e-9)
+
+    @pytest.mark.parametrize("q, M, n", [(4, 6, 9), (4, 6, 500), (2, 1, 57), (3, 2, 1000)])
+    def test_prints_the_library_optimum(self, capsys, q, M, n):
+        code, out, _ = run_cli(capsys, "optimal-ell", "--q", str(q), "--M", str(M), "--n", str(n))
+        assert code == 0
+        opt = optimal_marker_length(q, M, n)
+        assert json.loads(out) == {
+            "ell_formula": opt.ell_formula,
+            "ell_integer": opt.ell_integer,
+            "redundancy_closed_form": opt.redundancy_at_optimum,
+            "redundancy_at_integer": opt.redundancy_at_integer,
+        }
 
 
 class TestEncodeDecode:
@@ -395,6 +408,26 @@ class TestSimulate:
             f"error: config 2: seed {2**64} outside [0, 2^64)",
         ]
 
+    def test_oversized_p_is_an_error_line(self, capsys, tmp_path):
+        # 10**400 has no float; the range check must come before float().
+        config = dict(BASE_CONFIG, break_model={"kind": "per_bond", "p": 10**400})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bond break probability must be in [0, 1], got 1000")
+        assert len(err.splitlines()) == 1
+
+    def test_sweep_runs_past_an_oversized_p(self, capsys, tmp_path):
+        configs = [dict(BASE_CONFIG, seed=1, break_model={"kind": "per_bond", "p": 10**400}), dict(BASE_CONFIG, seed=2)]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(configs))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["2"]
+        assert err.startswith("error: config 0: bond break probability must be in [0, 1]")
+        assert len(err.splitlines()) == 1
+
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
@@ -497,6 +530,16 @@ def test_deeply_nested_input_is_an_error_line(capsys, argv):
         code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--Q", "1", "--R", "0", "--ell-range", "1", "--n-range", "5"],
+    ["count", "--Q", "1", "--R", "0", "--ell", "1", "--n", "5"],
+])
+def test_alphabet_of_one_is_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: alphabet size Q must be >= 2, got 1\n"
 
 
 class TestVerify:

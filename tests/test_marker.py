@@ -290,6 +290,11 @@ class TestOptimalMarkerLength:
             # ties resolve to the smallest ell
             assert opt.ell_integer == min(e for e, r in reds.items() if r == best)
 
+    def test_redundancy_at_integer_is_the_formula_at_ell_integer(self):
+        for n in range(9, 201):
+            opt = optimal_marker_length(4, 6, n)
+            assert opt.redundancy_at_integer == code_redundancy_formula(marker_params(n=n, ell=opt.ell_integer))
+
     def test_integer_scan_near_continuous_optimum(self):
         for n in (50, 100, 500, 1000, 5000):
             opt = optimal_marker_length(4, 6, n)

@@ -45,6 +45,13 @@ def _count_by_steps(params: RllParams) -> int:
     return total
 
 
+@pytest.mark.parametrize("Q", [1, 0])
+def test_alphabet_of_fewer_than_two_rejected(Q):
+    # Every figure is in log base Q; at Q = 1 the bounds divided by log 1.
+    with pytest.raises(ValueError, match=f"alphabet size Q must be >= 2, got {Q}"):
+        RllParams(Q=Q, R=0, ell=1, n=5)
+
+
 class TestMembership:
     def test_no_restricted_symbols(self):
         assert is_run_length_limited([False] * 10, 3)
