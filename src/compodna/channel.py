@@ -9,17 +9,17 @@ counts.
 
 A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices plus one (strand, start, end) triplet per
-fragment (`FragmentPool`), strand-major. Synthesis, breaking and alignment
-run over blocks of `_BLOCK` strands or fragments, with no per-strand or
-per-fragment Python loop.
+fragment (`FragmentPool`), strand-major. Stages work in blocks of about
+`_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop.
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
 and the message draw each read their own lane: the stream keyed by
-(seed, lane). Strand i's row of w uniforms starts at counter block
-i * ceil(w / 4) of its lane (a block holds four doubles), so strand i
-reads the same draws whatever the strand count or block size, and results
-are identical under any execution order.
+(seed, lane). Strand i's row of w break doubles starts at counter block
+i * ceil(w / 4) of its lane, and its n synthesis draws of 32 bits at block
+i * ceil(n / 8): a block holds four 64-bit words. So strand i reads the
+same draws whatever the strand count or block size, and results are
+identical under any execution order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
-from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, json_fields, json_value, largest_remainder_apportion
+from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, json_fields, json_value
+from .symbols import largest_remainder_apportion
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
 # and the message draw each get a disjoint key space.
@@ -40,11 +41,8 @@ LANE_BREAK = 1
 LANE_SAMPLE = 2
 LANE_MESSAGE = 3
 
-# Strands or fragments per vectorized block: bounds the working set.
-_BLOCK = 256
-
-# Doubles per Philox4x64 counter block.
-_DOUBLES_PER_BLOCK = 4
+# Draws or aligned bases per vectorized block: bounds the working set.
+_BLOCK = 1 << 14
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -55,25 +53,26 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} outside [0, 2^64)")
+        raise ValueError(f"seed {brief(seed)} outside [0, 2^64)")
     if not 0 <= index < 1 << 60:
-        raise ValueError(f"substream index {index} outside [0, 2^60)")
+        raise ValueError(f"substream index {brief(index)} outside [0, 2^60)")
     key = np.array([seed, (lane << 60) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_rows(seed: int, lane: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row offset, block of uniform rows) covering `count` rows.
-
-    Row i holds the `width` uniforms of strand i: the lane's stream from
-    counter block i * ceil(width / 4), so a strand's row does not depend on
-    how many strands are drawn or which block reads it.
-    """
-    stride = -(-width // _DOUBLES_PER_BLOCK) * _DOUBLES_PER_BLOCK
+def _lane_rows(seed: int, lane: int, count: int, width: int, dtype: str) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row offset, block of rows) covering `count` rows: row i holds
+    strand i's `width` draws, doubles ("f8") or a word's 32-bit halves, low
+    first ("<u4"), from counter block i * ceil(width / per_block)."""
+    per_block = 32 // np.dtype(dtype).itemsize
+    stride = -(-width // per_block) * per_block
     gen = substream(seed, lane)
-    for lo in range(0, count, _BLOCK):
-        rows = min(_BLOCK, count - lo)
-        yield lo, gen.random(rows * stride).reshape(rows, stride)[:, :width]
+    step = max(1, _BLOCK // max(stride, 1))
+    for lo in range(0, count, step):
+        rows = min(step, count - lo)
+        size = rows * stride
+        draws = gen.random(size) if dtype == "f8" else gen.bit_generator.random_raw(size // 2).astype("<u8").view(dtype)
+        yield lo, draws.reshape(rows, stride)[:, :width]
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class PerBond:
     def __post_init__(self) -> None:
         # Check before converting: float() overflows on an int past 1e308.
         if not 0 <= self.p <= 1:
-            raise ValueError(f"bond break probability must be in [0, 1], got {self.p}")
+            raise ValueError(f"bond break probability must be in [0, 1], got {brief(self.p)}")
         object.__setattr__(self, "p", float(self.p))
 
 
@@ -99,7 +98,7 @@ class _TBreaks:
 
     def __post_init__(self) -> None:
         if self.t < 0:
-            raise ValueError(f"break count must be >= 0, got {self.t}")
+            raise ValueError(f"break count must be >= 0, got {brief(self.t)}")
         if self.bond_range is not None:
             self.bonds()
 
@@ -196,9 +195,9 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if self.strand_count < 1:
-            raise ValueError(f"strand_count must be >= 1, got {self.strand_count}")
+            raise ValueError(f"strand_count must be >= 1, got {brief(self.strand_count)}")
         if self.sample_size is not None and self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {self.sample_size}")
+            raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {brief(self.sample_size)}")
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
 
@@ -232,54 +231,56 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
 
     Returns a (count, n) array of 1-based base indices. Strand i reads row
     i of the synthesis lane, so the first m strands are the same whatever
-    `count` is.
+    `count` is. A column draws base k+1 or later when its 32-bit draw r is
+    at least ceil(cum_k * 2^32 / M), cum_k being the count of bases 1..k.
+    So each base's probability is its count / M to within 2^-32, and a
+    zero-count base has an empty interval: it is never drawn.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
-    # Integer cumsum, then one division: the last threshold is exactly 1.0
-    # and a zero-count base gets an empty interval, so it is never drawn.
-    cum = (np.cumsum(matrix.count_array(), axis=0) / matrix.params.M)[:-1, :]
-    strands = np.ones((count, matrix.n), dtype=np.int16)
-    for lo, u in _uniform_rows(seed, LANE_SYNTH, count, matrix.n):
-        block = strands[lo : lo + len(u)]
-        for threshold in cum:
-            block += u >= threshold
+    cum = np.cumsum(matrix.count_array(), axis=0)[:-1, :]
+    # r >= threshold as r > threshold - 1 in uint32: one of 2^32 is never passed,
+    # and one of 0, always passed, raises the column's first base instead.
+    first = 1 + (cum == 0).sum(axis=0)
+    limits = np.where(cum == 0, 2**32 - 1, -(-(cum.astype(object) << 32) // matrix.params.M) - 1).astype(np.uint32)
+    strands = np.empty((count, matrix.n), dtype=np.int16)
+    for lo, r in _lane_rows(seed, LANE_SYNTH, count, matrix.n, "<u4"):
+        block = strands[lo : lo + len(r)]
+        block[:] = first
+        for limit in limits:
+            block += r > limit
     return strands
 
 
 def _break_width(model: BreakModel, n: int) -> int:
-    """Uniforms per strand: one per bond, or AtMostT's count draw (unused by
-    ExactlyT) plus t Floyd draws."""
+    """Uniforms per strand: one per bond, or a count draw (unused by ExactlyT) plus t Floyd draws."""
     return n - 1 if isinstance(model, PerBond) else model.t + 1
 
 
-def _cut_mask(u: np.ndarray, n: int, model: BreakModel) -> np.ndarray:
-    """The cut core: uniform rows -> (rows, n) mask of fragment start columns.
-
-    Column 0 always starts a fragment; column b (0-based) starts one when
-    bond b, between 1-based columns b and b+1, breaks. t-break models place
-    their bonds by Floyd's sampling of distinct values, vectorized over
-    rows: u[:, 0] draws AtMostT's count, u[:, 1 + s] step s's candidate.
-    """
-    rows = len(u)
-    mask = np.zeros((rows, n), dtype=bool)
-    mask[:, 0] = True
+def _cuts(u: np.ndarray, n: int, model: BreakModel) -> tuple[np.ndarray, np.ndarray]:
+    """The cut core: uniform rows -> the row-major (row, bond) pairs of their cuts,
+    bond b joining columns b and b+1, each row's bonds ascending. PerBond cuts
+    bond b when u[:, b - 1] < p. The t-models run Floyd's sampling of distinct
+    bonds on all rows at once: u[:, 0] draws AtMostT's count, u[:, 1 + s] step
+    s's candidate, checked against the row's earlier picks (t(t-1)/2 compares)."""
     if isinstance(model, PerBond):
-        mask[:, 1:] = u < model.p
-        return mask
+        row, col = np.nonzero(u < model.p)
+        return row, col + 1
     lo, hi = model.bonds(n)
     span, t = hi - lo + 1, model.t
-    counts = t if isinstance(model, ExactlyT) else np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
-    row = np.arange(rows)
-    # Floyd: for j = span-c .. span-1 pick r uniform in [0, j]; take j if r is
-    # taken. A row drawing c < t bonds skips the first t-c steps by setting
-    # column 0, which always starts a fragment.
+    # A row drawing c < t bonds skips Floyd's first t - c steps; a skipped
+    # step's pick is hi + 1, never a candidate, so it is never taken.
+    skip = 0 if isinstance(model, ExactlyT) else t - np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
+    picks = np.full((len(u), t), hi + 1)
+    # Floyd: for j = span-t .. span-1 pick r uniform in [0, j]; take j if r is taken.
     for step in range(t):
         j = span - t + step
         pick = lo + np.minimum((u[:, 1 + step] * (j + 1)).astype(np.intp), j)
-        pick = np.where(mask[row, pick], lo + j, pick)
-        mask[row, np.where(step >= t - counts, pick, 0)] = True
-    return mask
+        pick[(picks[:, :step] == pick[:, None]).any(axis=1)] = lo + j
+        picks[:, step] = np.where(step >= skip, pick, hi + 1)
+    picks.sort(axis=1)
+    row, col = np.nonzero(picks <= hi)
+    return row, picks[row, col]
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,29 +310,29 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
-    strand_parts, start_parts = [], []
-    for lo, u in _uniform_rows(seed, LANE_BREAK, count, _break_width(model, n)):
-        rows, cols = np.nonzero(_cut_mask(u, n, model))
-        strand_parts.append((rows + lo).astype(np.int32))
-        start_parts.append(cols.astype(np.int32))
-    strand, start0 = np.concatenate(strand_parts), np.concatenate(start_parts)
-    # A fragment ends (1-based) where the strand's next one starts (0-based).
-    end = np.full_like(start0, n)
-    end[:-1] = np.where(start0[1:] == 0, n, start0[1:])
-    return FragmentPool(strand=strand, start=start0 + 1, end=end)
+    width = _break_width(model, n)
+    blocks = [(lo, *_cuts(u, n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width, "f8")]
+    row = np.concatenate([row + lo for lo, row, _ in blocks])
+    bond = np.concatenate([bond for _, _, bond in blocks])
+    # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.
+    after = np.arange(len(row)) + row + 1
+    strand = np.repeat(np.arange(count, dtype=np.int32), np.bincount(row, minlength=count) + 1)
+    start = np.ones(len(strand), dtype=np.int32)
+    start[after] = bond + 1
+    end = np.full(len(strand), n, dtype=np.int32)
+    end[after - 1] = bond
+    return FragmentPool(strand=strand, start=start, end=end)
 
 
-def apply_breaks_traced(
-    strand: np.ndarray, model: BreakModel, rng: np.random.Generator
-) -> list[tuple[int, np.ndarray]]:
+def apply_breaks_traced(strand: np.ndarray, model: BreakModel, rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
     """Split a strand at stochastic bonds into in-order (1-based start column, fragment) pairs.
 
     Draws one row of the cut core's uniforms from `rng`.
     """
     strand = np.asarray(strand)
     n = len(strand)
-    starts = np.nonzero(_cut_mask(rng.random(_break_width(model, n))[None, :], n, model)[0])[0]
-    return [(int(s) + 1, piece) for s, piece in zip(starts, np.split(strand, starts[1:]))]
+    _, bonds = _cuts(rng.random(_break_width(model, n))[None, :], n, model)
+    return [(int(s) + 1, piece) for s, piece in zip([0, *bonds], np.split(strand, bonds))]
 
 
 def sample_fragments(
@@ -377,49 +378,54 @@ class AlignmentResult:
     classes: np.ndarray  # int8
 
 
+def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
+    """Whether flat[pos + c] == pattern[c] at every c, compared one pattern column at a time."""
+    hit = np.ones(len(pos), dtype=bool)
+    for c, base in enumerate(pattern):
+        hit &= flat[pos + c] == base
+    return hit
+
+
 def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> AlignmentResult:
     """The classify/count core over fragments flat[offsets[i] : offsets[i] + lengths[i]].
 
-    Head and tail windows are compared against marker_pattern(), with the
-    rules of classify_fragment; fragments longer than n are discarded.
-    Prefixes and full strands anchor at column 1, suffixes at column n,
-    and the aligned bases of a block accumulate in one bincount over
-    (base, column).
+    Heads and tails are compared with marker_pattern(), by the rules of
+    classify_fragment; fragments longer than n are discarded. Prefixes and
+    full strands anchor at column 1, suffixes at column n. The aligned bases
+    are counted by one bincount over (base, column) per block; blocks end
+    where the running count of bases passes a multiple of `_BLOCK`, so each
+    holds fewer than `_BLOCK` + n bases.
     """
-    q, n = params.q, params.n
-    pattern = np.asarray(params.marker_pattern())
+    q, n, pattern = params.q, params.n, params.marker_pattern()
     span = len(pattern)
-    window = np.arange(span)
-    classes = np.empty(len(offsets), dtype=np.int8)
-    table = np.zeros(q * n, dtype=np.int64)
-    for lo in range(0, len(offsets), _BLOCK):
-        off, length = offsets[lo : lo + _BLOCK], lengths[lo : lo + _BLOCK]
-        fits = np.nonzero((length >= span) & (length <= n))[0]
-        starts = np.zeros(len(off), dtype=bool)
-        ends = np.zeros(len(off), dtype=bool)
-        starts[fits] = (flat[off[fits, None] + window] == pattern).all(axis=1)
-        ends[fits] = (flat[(off[fits] + length[fits] - span)[:, None] + window] == pattern).all(axis=1)
-        kind = np.full(len(off), _DISCARD, dtype=np.int8)
-        kind[ends] = _SUFFIX
-        kind[starts] = _PREFIX
-        both = starts & ends
-        kind[both] = np.where(length[both] == n, _FULL, _DISCARD)
-        kind[starts & (length == span)] = _MARKER_ONLY
-        classes[lo : lo + len(off)] = kind
+    fit = np.flatnonzero((lengths >= span) & (lengths <= n))
+    starts, ends = np.zeros((2, len(offsets)), dtype=bool)
+    starts[fit] = _marker_at(flat, offsets[fit], pattern)
+    ends[fit] = _marker_at(flat, offsets[fit] + lengths[fit] - span, pattern)
+    classes = np.full(len(offsets), _DISCARD, dtype=np.int8)
+    classes[ends] = _SUFFIX
+    classes[starts] = _PREFIX
+    both = starts & ends
+    classes[both] = np.where(lengths[both] == n, _FULL, _DISCARD)
+    classes[starts & (lengths == span)] = _MARKER_ONLY
 
-        usable = kind <= _SUFFIX
-        size = length[usable]
-        first = np.cumsum(size) - size  # each fragment's first slot among the block's aligned bases
-        column0 = np.where(kind[usable] == _SUFFIX, n - size, 0)
-        slot = np.arange(int(size.sum()))
-        bases = flat[slot + np.repeat(off[usable] - first, size)].astype(np.intp)
-        table += np.bincount((bases - 1) * n + slot + np.repeat(column0 - first, size), minlength=q * n)
-    tallies = np.bincount(classes, minlength=len(_CLASSES))
-    return AlignmentResult(
-        count_table=table.reshape(q, n),
-        tallies={kind: int(c) for kind, c in zip(_CLASSES, tallies)},
-        classes=classes,
-    )
+    usable = np.flatnonzero(classes <= _SUFFIX)
+    bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(lengths[usable]) // _BLOCK)) + 1), len(usable)]
+    table = np.zeros(q * n, dtype=np.int64)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        frag = usable[a:b]
+        off, size = offsets[frag], lengths[frag]
+        idx = np.arange(int(size.sum()))  # the block's aligned bases, then their flat indices
+        idx += np.repeat(off - np.cumsum(size) + size, size)
+        # A base at flat index i counts at (base - 1) * n + column = flat[i] * n + i + shift.
+        shift = np.where(classes[frag] == _SUFFIX, n - size, 0) - off - n
+        key = flat[idx].astype(np.intp)
+        key *= n
+        key += idx
+        key += np.repeat(shift, size)
+        table += np.bincount(key, minlength=q * n)
+    tallies = np.bincount(classes, minlength=len(_CLASSES)).tolist()
+    return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
 
 
 def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> AlignmentResult:
@@ -529,9 +535,7 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
         sampled_fragments=len(picked),
         classification_errors=int(errors),
         true_class_counts={names[t]: int(confusion[t].sum()) for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)},
-        confusion={
-            names[t]: {name: int(c) for name, c in zip(names, confusion[t])} for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)
-        },
+        confusion={names[t]: dict(zip(names, confusion[t].tolist())) for t in (_FULL, _PREFIX, _SUFFIX, _DISCARD)},
     )
 
 
@@ -539,17 +543,13 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
     """The pipeline: the report, the sampled pool and its predicted class codes."""
     params, seed, count = config.code_params, config.seed, config.strand_count
     codeword = construct_codeword(random_message(params, seed), params)
-    truth = codeword.count_array()
     strands = synthesize(codeword, count, seed)
     pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
     picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
-
     aligned = align_pool(strands, picked, params)
     estimated = estimate_matrix(aligned.count_table, params)
-    est_counts = estimated.count_array()
-    errors = int((est_counts != truth).any(axis=0).sum())
-
+    errors = int((estimated.count_array() != codeword.count_array()).any(axis=0).sum())
     data_cols = [j - 1 for j in layout(params).data_positions()]
     coverage = aligned.count_table.sum(axis=0)[data_cols]
     report = ExperimentReport(

@@ -112,6 +112,19 @@ REQUIRED = object()
 _MATRIX_FIELDS = {"q": ("integer", REQUIRED), "M": ("integer", REQUIRED), "columns": ("array", REQUIRED)}
 
 
+def brief(value: object) -> str:
+    """`value` for an error message. An integer of more than 50 digits is
+    shown as its first ten digits and its length, read through Decimal:
+    int-to-str conversion fails past 4300 digits (Python >= 3.10.7)."""
+    from decimal import Decimal  # only error paths pay for the import
+
+    if isinstance(value, int):
+        sign, digits, _ = Decimal(value).as_tuple()
+        if len(digits) > 50:
+            return f"{'-' * sign}{''.join(map(str, digits[:10]))}... ({len(digits)} digits)"
+    return repr(value)
+
+
 def json_value(value: object, kind: str, path: str):
     """`value` if it is a JSON `kind`; otherwise a ValueError naming `path`."""
     if not (isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")):

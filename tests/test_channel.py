@@ -100,15 +100,19 @@ class TestSynthesize:
 
 
 class _TopUniformGenerator:
-    """Stand-in generator whose every uniform is the largest double below 1."""
+    """Stand-in generator whose every 32-bit synthesis draw is the largest, 2^32 - 1."""
 
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
 
 
 class TestZeroWeightBases:
-    # (1,4,1,0) at q=4, M=6: summed float probabilities put the last
-    # threshold one ulp below 1, where the top uniform would draw base 4.
+    # (1,4,1,0) at q=4, M=6: the last base weighs nothing, so its threshold
+    # is 2^32, which the top draw must not pass.
     SYMBOL = CompositeSymbol((1, 4, 1, 0))
 
     def _assert_no_zero_count_draws(self, matrix, monkeypatch):
@@ -120,6 +124,13 @@ class TestZeroWeightBases:
 
     def test_bare_matrix(self, monkeypatch):
         matrix = CompositeMatrix(columns=(self.SYMBOL,) * 3, params=DNA)
+        self._assert_no_zero_count_draws(matrix, monkeypatch)
+
+    def test_trailing_zero_count_bases(self, monkeypatch):
+        # The last two bases weigh nothing, or the first two and the last:
+        # two thresholds of 2^32, or thresholds of 0 and one of 2^32.
+        columns = (CompositeSymbol((2, 4, 0, 0)), CompositeSymbol((0, 0, 6, 0)), CompositeSymbol((3, 0, 3, 0)))
+        matrix = CompositeMatrix(columns=columns, params=DNA)
         self._assert_no_zero_count_draws(matrix, monkeypatch)
 
     def test_marker_base_q_layout(self, monkeypatch):
@@ -513,6 +524,25 @@ class TestSeedRange:
     def test_run_experiment_rejects(self):
         with pytest.raises(ValueError, match="seed 18446744073709551616 outside"):
             run_experiment(make_config(seed=2**64))
+
+
+class TestHugeValuesInErrors:
+    """A rejected integer past the 4300-digit int-to-str limit is named briefly, by the range it misses."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: PerBond(p=v), r"bond break probability must be in \[0, 1\], got 1000000000\.\.\. \(5001 digits\)$"),
+            (lambda v: ExactlyT(t=-v), r"break count must be >= 0, got -1000000000\.\.\. \(5001 digits\)$"),
+            (lambda v: substream(v, LANE_SYNTH), r"seed 1000000000\.\.\. \(5001 digits\) outside \[0, 2\^64\)$"),
+            (lambda v: make_config(strand_count=-v), r"strand_count must be >= 1, got -1000000000\.\.\. \(5001 digits\)$"),
+        ],
+        ids=["p", "t", "seed", "strand_count"],
+    )
+    def test_message_names_the_range(self, make, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            make(10**5000)
+        assert len(str(exc.value)) < 200
 
 
 class TestTraceStats:

@@ -1,9 +1,11 @@
 """Property tests of the array channel core: split invariance, the array
-classifier/counter against a per-fragment oracle, and Floyd bond draws."""
+classifier/counter against a per-fragment oracle, Floyd bond draws, the cut
+and synthesis cores against scalar references, and block-size invariance."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from compodna import (
     substream,
     synthesize,
 )
+from compodna import channel
 from compodna.channel import LANE_BREAK, LANE_SAMPLE, FragmentPool, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
@@ -207,3 +210,111 @@ class TestFloydDraws:
         sigma = math.sqrt((width**2 - 1) / 12 / len(bonds))
         assert len(bonds) == strands * t
         assert abs(bonds.mean() - (lo + hi) / 2) <= 3 * sigma
+
+
+def lane_rows(seed, lane, count, width, per_block):
+    """The lane's draws, row i from counter block i * ceil(width / per_block), read in one call."""
+    stride = math.ceil(width / per_block) * per_block
+    gen = substream(seed, lane)
+    if per_block == 4:
+        return gen.random(count * stride).reshape(count, stride)[:, :width]
+    return gen.bit_generator.random_raw(count * stride // 2).view(np.uint32).reshape(count, stride)[:, :width]
+
+
+def floyd_reference(u, n, model):
+    """One row's bonds, by Floyd's algorithm as written: for j = span-c .. span-1
+    pick r uniform in [0, j] from the next double; add j if r is already taken."""
+    lo, hi = model.bonds(n)
+    span, t = hi - lo + 1, model.t
+    count = t if isinstance(model, ExactlyT) else min(int(u[0] * (t + 1)), t)
+    taken = set()
+    for step in range(t - count, t):
+        j = span - t + step
+        r = min(int(u[1 + step] * (j + 1)), j)
+        taken.add(lo + (j if lo + r in taken else r))
+    return sorted(taken)
+
+
+T_MODELS = [ExactlyT(t=0), ExactlyT(t=1), ExactlyT(t=3), ExactlyT(t=2, bond_range=(3, 8)), ExactlyT(t=10),
+            AtMostT(t=2), AtMostT(t=5), AtMostT(t=4, bond_range=(2, 6))]
+
+
+class TestCutCoreMatchesScalarReference:
+    @pytest.mark.parametrize("model", T_MODELS, ids=repr)
+    @pytest.mark.parametrize("n", [11, 40])
+    def test_t_models(self, model, n):
+        count, seed = 300, 2**63 + n
+        u = lane_rows(seed, LANE_BREAK, count, model.t + 1, 4)
+        pool = break_strands(n, model, count, seed)
+        cut = pool.start > 1
+        for i in range(count):
+            bonds = floyd_reference(u[i], n, model)
+            assert (pool.start[cut & (pool.strand == i)] - 1).tolist() == bonds
+            if i < 20:
+                rng = substream(seed, LANE_BREAK)
+                rng.bit_generator.advance(i * math.ceil((model.t + 1) / 4))
+                strand = np.arange(1, n + 1)
+                assert [start for start, _ in apply_breaks_traced(strand, model, rng)] == [1] + [b + 1 for b in bonds]
+
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
+    def test_per_bond(self, p):
+        n, count, seed = 40, 300, 77
+        u = lane_rows(seed, LANE_BREAK, count, n - 1, 4)
+        pool = break_strands(n, PerBond(p=p), count, seed)
+        cut = pool.start > 1
+        for i in range(count):
+            assert (pool.start[cut & (pool.strand == i)] - 1).tolist() == [b + 1 for b in range(n - 1) if u[i, b] < p]
+
+
+class TestSynthesisMatchesScalarReference:
+    def test_rows_read_their_counter_blocks(self):
+        # Base k+1 or later when r >= ceil(cum_k * 2^32 / M), in exact integers.
+        # n = 19: a row of 24 draws, not the 20 that a stride of ceil(n / 4) blocks of four would give
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=7), n=19, ell=2)
+        codeword = random_codeword(params, np.random.default_rng(4))
+        counts = codeword.count_array().T.tolist()
+        count, seed = 200, 9
+        r = lane_rows(seed, 0, count, params.n, 8)
+        strands = synthesize(codeword, count, seed)
+        for i in range(count):
+            for j, col in enumerate(counts):
+                cum = np.cumsum(col).tolist()[:-1]
+                base = 1 + sum(int(r[i, j]) >= -(-(c << 32) // params.M) for c in cum)
+                assert strands[i, j] == base
+
+
+class TestBlockSizes:
+    """Results do not depend on `_BLOCK`, from one draw or base per block to the whole input."""
+
+    CAPS = [1, 2, 37, 1000, 10**9]
+
+    @pytest.mark.parametrize("model", [PerBond(p=0.1), ExactlyT(t=2), AtMostT(t=3)], ids=repr)
+    def test_synthesis_and_breaks(self, model, monkeypatch):
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        codeword = random_codeword(params, np.random.default_rng(1))
+        results = []
+        for cap in self.CAPS:
+            monkeypatch.setattr(channel, "_BLOCK", cap)
+            pool = break_strands(params.n, model, 150, 5)
+            results.append((synthesize(codeword, 150, 5), pool.strand, pool.start, pool.end))
+        for result in results[1:]:
+            assert all((a == b).all() for a, b in zip(result, results[0]))
+
+    @PROPERTY
+    @given(params=code_params(), count=st.integers(0, 300), seed=st.integers(0, 2**32))
+    def test_alignment(self, params, count, seed):
+        rng = np.random.default_rng(seed)
+        frags = random_fragments(params, rng, count)
+        strands = synthesize(random_codeword(params, rng), 50, seed)
+        pool = break_strands(params.n, AtMostT(t=min(3, params.n - 1)), 50, seed)
+        picked = pool[rng.integers(0, len(pool), size=2 * len(pool))]
+        picked_frags = [strands[s, a - 1 : b] for s, a, b in zip(picked.strand, picked.start, picked.end)]
+        expected = [oracle_align(frags, params), oracle_align(picked_frags, params)]
+        with pytest.MonkeyPatch.context() as patch:
+            for cap in self.CAPS:
+                patch.setattr(channel, "_BLOCK", cap)
+                results = [align_and_count(frags, params), align_pool(strands, picked, params)]
+                for result, (classes, table) in zip(results, expected):
+                    assert [tuple(FragmentClass)[c] for c in result.classes] == classes
+                    assert (result.count_table == table).all()
+                    assert result.tallies == {kind: classes.count(kind) for kind in FragmentClass}

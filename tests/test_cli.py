@@ -428,6 +428,16 @@ class TestSimulate:
         assert err.startswith("error: config 0: bond break probability must be in [0, 1]")
         assert len(err.splitlines()) == 1
 
+    def test_huge_p_error_names_the_range_briefly(self, capsys, tmp_path):
+        # 10**5000 is past the 4300-digit int-to-str limit of this process.
+        path = tmp_path / "config.json"
+        config = dict(BASE_CONFIG, break_model={"kind": "per_bond", "p": "P"})
+        path.write_text(json.dumps(config).replace('"P"', "1" + "0" * 5000))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bond break probability must be in [0, 1], got 1000000000")
+        assert len(err) < 200
+
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
