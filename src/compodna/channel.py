@@ -10,7 +10,8 @@ counts.
 A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices plus one (strand, start, end) triplet per
 fragment (`FragmentPool`), strand-major. Stages work in blocks of about
-`_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop.
+`_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop. A
+sample in pool order is mostly counted in place on the matrix (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
@@ -31,7 +32,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
-from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, json_fields, json_value
+from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
 from .symbols import largest_remainder_apportion
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
@@ -43,6 +44,7 @@ LANE_MESSAGE = 3
 
 # Draws or aligned bases per vectorized block: bounds the working set.
 _BLOCK = 1 << 14
+_IN_PLACE_SHARE = 0.5  # align_pool counts in place when that covers this share of the strand matrix
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -61,9 +63,9 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
 
 
 def _lane_rows(seed: int, lane: int, count: int, width: int, dtype: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row offset, block of rows) covering `count` rows: row i holds
-    strand i's `width` draws, doubles ("f8") or a word's 32-bit halves, low
-    first ("<u4"), from counter block i * ceil(width / per_block)."""
+    """Yield (row offset, contiguous block of rows) covering `count` rows: row i
+    holds strand i's `width` draws, doubles ("f8") or a word's 32-bit halves, low
+    first ("<u4"), from counter block i * ceil(width / per_block), then its padding."""
     per_block = 32 // np.dtype(dtype).itemsize
     stride = -(-width // per_block) * per_block
     gen = substream(seed, lane)
@@ -71,8 +73,8 @@ def _lane_rows(seed: int, lane: int, count: int, width: int, dtype: str) -> Iter
     for lo in range(0, count, step):
         rows = min(step, count - lo)
         size = rows * stride
-        draws = gen.random(size) if dtype == "f8" else gen.bit_generator.random_raw(size // 2).astype("<u8").view(dtype)
-        yield lo, draws.reshape(rows, stride)[:, :width]
+        raw = gen.random(size) if dtype == "f8" else gen.bit_generator.random_raw(size // 2).astype("<u8", copy=False)
+        yield lo, raw.view(dtype).reshape(rows, stride)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def break_model_from_json_dict(obj: dict, path: str = "break_model") -> BreakMod
     rng = fields.get("bond_range")
     if rng is not None:
         if len(rng) != 2:
-            raise ValueError(f"{path}.bond_range must hold two integers, got {json.dumps(rng, default=repr)}")
+            raise ValueError(f"{path}.bond_range must hold two integers, got {brief_json(rng)}")
         where = f"{path}.bond_range entry"
         fields["bond_range"] = tuple(json_value(b, "integer", f"{where} {i}") for i, b in enumerate(rng, start=1))
     return model(**fields)
@@ -241,14 +243,16 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     cum = np.cumsum(matrix.count_array(), axis=0)[:-1, :]
     # r >= threshold as r > threshold - 1 in uint32: one of 2^32 is never passed,
     # and one of 0, always passed, raises the column's first base instead.
-    first = 1 + (cum == 0).sum(axis=0)
-    limits = np.where(cum == 0, 2**32 - 1, -(-(cum.astype(object) << 32) // matrix.params.M) - 1).astype(np.uint32)
+    first = 1 + (cum == 0).sum(axis=0, dtype=np.int16)
+    limits = np.full((len(cum), -(-matrix.n // 8) * 8), 2**32 - 1, dtype=np.uint32)  # padding draws pass none
+    limits[:, : matrix.n] = np.where(cum == 0, 2**32 - 1, -(-(cum.astype(object) << 32) // matrix.params.M) - 1)
     strands = np.empty((count, matrix.n), dtype=np.int16)
     for lo, r in _lane_rows(seed, LANE_SYNTH, count, matrix.n, "<u4"):
-        block = strands[lo : lo + len(r)]
-        block[:] = first
-        for limit in limits:
-            block += r > limit
+        tiled = np.tile(limits, len(r)) if lo == 0 else tiled  # the first block is the largest
+        above = np.zeros(r.size, dtype=np.int8 if len(cum) < 128 else np.int16)  # one flat pass per threshold
+        for limit in tiled:
+            above += r.ravel() > limit[: r.size]
+        np.add(above.reshape(r.shape)[:, : matrix.n], first, out=strands[lo : lo + len(r)])
     return strands
 
 
@@ -311,7 +315,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     width = _break_width(model, n)
-    blocks = [(lo, *_cuts(u, n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width, "f8")]
+    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width, "f8")]
     row = np.concatenate([row + lo for lo, row, _ in blocks])
     bond = np.concatenate([bond for _, _, bond in blocks])
     # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.
@@ -348,15 +352,10 @@ def sample_fragments(
         raise ValueError("fragment pool is empty")
     if k < 1:
         raise ValueError(f"sample size must be >= 1, got {k}")
-    if with_replacement:
-        idx = rng.integers(0, size, size=k)
-    else:
-        if k > size:
-            raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
-        idx = rng.permutation(size)[:k]
-    if isinstance(pool, FragmentPool):
-        return pool[idx]
-    return [pool[i] for i in idx]
+    if not with_replacement and k > size:
+        raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
+    idx = rng.integers(0, size, size=k) if with_replacement else rng.permutation(size)[:k]
+    return pool[idx] if isinstance(pool, FragmentPool) else [pool[i] for i in idx]
 
 
 # Class codes: indices into tuple(FragmentClass). Full, Prefix and Suffix,
@@ -386,15 +385,16 @@ def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.
     return hit
 
 
-def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> AlignmentResult:
+def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams,
+           in_place: bool = False) -> AlignmentResult:
     """The classify/count core over fragments flat[offsets[i] : offsets[i] + lengths[i]].
 
     Heads and tails are compared with marker_pattern(), by the rules of
     classify_fragment; fragments longer than n are discarded. Prefixes and
-    full strands anchor at column 1, suffixes at column n. The aligned bases
-    are counted by one bincount over (base, column) per block; blocks end
-    where the running count of bases passes a multiple of `_BLOCK`, so each
-    holds fewer than `_BLOCK` + n bases.
+    full strands anchor at column 1, suffixes at column n. With `in_place`,
+    flat ravels the strand matrix, and align_pool's rule counts some there;
+    the rest are gathered and counted by one bincount over (base, column) per
+    block. Blocks end where the running count passes a multiple of `_BLOCK`.
     """
     q, n, pattern = params.q, params.n, params.marker_pattern()
     span = len(pattern)
@@ -409,9 +409,17 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
     classes[both] = np.where(lengths[both] == n, _FULL, _DISCARD)
     classes[starts & (lengths == span)] = _MARKER_ONLY
 
-    usable = np.flatnonzero(classes <= _SUFFIX)
-    bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(lengths[usable]) // _BLOCK)) + 1), len(usable)]
     table = np.zeros(q * n, dtype=np.int64)
+    gather = classes <= _SUFFIX
+    if in_place:
+        mine = gather & (np.where(classes == _SUFFIX, n - lengths, 0) == offsets % n)  # at their own columns
+        mine &= (np.diff(offsets, prepend=-1) != 0) & (np.diff(offsets, append=flat.size) != 0)  # no twin beside
+        edges = np.column_stack((offsets[mine], offsets[mine] + lengths[mine])).ravel()
+        if lengths[mine].sum() >= _IN_PLACE_SHARE * flat.size and (np.diff(edges) >= 0).all():
+            _count_in_place(flat.reshape(-1, n), edges, table)
+            gather &= ~mine
+    usable = np.flatnonzero(gather)
+    bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(lengths[usable]) // _BLOCK)) + 1), len(usable)]
     for a, b in zip(bounds[:-1], bounds[1:]):
         frag = usable[a:b]
         off, size = offsets[frag], lengths[frag]
@@ -428,6 +436,21 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
     return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
 
 
+def _count_in_place(strands: np.ndarray, edges: np.ndarray, table: np.ndarray) -> None:
+    """Add into the flat (q * n) `table` the bases of `strands` in the ascending, disjoint
+    flat ranges [edges[2i], edges[2i + 1]), at their own columns, one bincount per block of rows."""
+    n = strands.shape[1]
+    runs = np.diff(edges, prepend=0, append=strands.size)  # gap, range, gap, ..., range, gap
+    outside = np.repeat(np.arange(len(runs)) % 2 == 0, runs).reshape(strands.shape)
+    column = np.arange(-n, 0, dtype=np.int16 if len(table) < 1 << 15 else np.intp)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, len(strands), step):
+        key = np.multiply(strands[lo : lo + step], n, dtype=column.dtype)  # (base - 1) * n + column
+        key += column
+        np.copyto(key, len(table), where=outside[lo : lo + step])  # to the dump bin past the table
+        table += np.bincount(key.ravel(), minlength=len(table) + 1)[:-1]
+
+
 def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> AlignmentResult:
     """Position each fragment by its marker class and accumulate base counts.
 
@@ -442,9 +465,15 @@ def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> 
 
 
 def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeParams) -> AlignmentResult:
-    """align_and_count for fragments held as triplets into the strand matrix."""
+    """align_and_count for fragments held as triplets into the strand matrix.
+
+    Full fragments, Prefixes from column 1 and Suffixes to column n sit at
+    their own columns. Those not repeated by a neighbour are counted in place,
+    per block of `_BLOCK` // n strand rows, if they are ascending and disjoint
+    (as in break_strands' order) and cover `_IN_PLACE_SHARE` of the matrix.
+    """
     offsets = fragments.strand.astype(np.intp) * strands.shape[1] + fragments.start - 1
-    return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params)
+    return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params, True)
 
 
 class ZeroCoverageError(ValueError):
@@ -547,6 +576,7 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
     pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
     picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
+    picked = picked[np.argsort(picked.strand.astype(np.intp) * params.n + picked.start)]  # in pool order
     aligned = align_pool(strands, picked, params)
     estimated = estimate_matrix(aligned.count_table, params)
     errors = int((estimated.count_array() != codeword.count_array()).any(axis=0).sum())
@@ -568,10 +598,10 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
-    The stages are the public ones, chained: random_message,
-    construct_codeword, synthesize, break_strands, sample_fragments,
-    align_pool, estimate_matrix. `workers` is accepted for compatibility
-    and has no effect; the report is byte-identical at any value.
+    The stages are the public ones, chained: random_message, construct_codeword,
+    synthesize, break_strands, sample_fragments (its sample put in pool order),
+    align_pool, estimate_matrix. `workers` is accepted for compatibility and
+    has no effect; the report is byte-identical at any value.
     """
     return _run(config)[0]
 

@@ -125,11 +125,20 @@ def brief(value: object) -> str:
     return repr(value)
 
 
+def brief_json(value: object) -> str:
+    """`value` as JSON for an error message, with every integer in it shown by brief."""
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(brief_json, value))}]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(str(key))}: {brief_json(item)}" for key, item in value.items()) + "}"
+    return brief(value) if isinstance(value, int) and not isinstance(value, bool) else json.dumps(value, default=repr)
+
+
 def json_value(value: object, kind: str, path: str):
     """`value` if it is a JSON `kind`; otherwise a ValueError naming `path`."""
     if not (isinstance(value, _JSON_KINDS[kind]) and isinstance(value, bool) == (kind == "bool")):
         article = "an" if kind[0] in "aeiou" else "a"
-        raise ValueError(f"{path} must be {article} {kind}, got {json.dumps(value, default=repr)}")
+        raise ValueError(f"{path} must be {article} {kind}, got {brief_json(value)}")
     return value
 
 

@@ -84,9 +84,11 @@ class TestSynthesize:
         b = synthesize(cw, 40, seed=21)
         assert (a == b).all()
 
-    def test_split_invocation_matches_single_call(self):
+    def test_split_invocation_matches_single_call(self, monkeypatch):
         # counter-addressed strand rows: a smaller call draws the first rows
-        # of a larger one, at cuts on either side of the 256-row blocks
+        # of a larger one, at cuts on either side of 256-row blocks (rows of
+        # 32 draws at n = 30, so _BLOCK = 256 * 32 draws)
+        monkeypatch.setattr(channel, "_BLOCK", 256 * 32)
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         cw = make_codeword(params)
         whole = synthesize(cw, 600, seed=21)
@@ -543,6 +545,18 @@ class TestHugeValuesInErrors:
         with pytest.raises(ValueError, match=message) as exc:
             make(10**5000)
         assert len(str(exc.value)) < 200
+
+    def test_mistyped_field_names_its_kind(self):
+        obj = json.loads(make_config().to_json())
+        with pytest.raises(ValueError, match=r"^config\.code_params must be an object, got 1000000000\.\.\. \(5001 digits\)$"):
+            ChannelConfig.from_json_dict(dict(obj, code_params=10**5000))
+        with pytest.raises(ValueError, match=r"^config\.seed must be an integer, got \[1000000000\.\.\. \(5001 digits\)\]$"):
+            ChannelConfig.from_json_dict(dict(obj, seed=[10**5000]))
+
+    def test_bond_range_of_three_names_its_entries(self):
+        model = {"kind": "exactly_t", "t": 1, "bond_range": [10**5000, 1, 2]}
+        with pytest.raises(ValueError, match=r"must hold two integers, got \[1000000000\.\.\. \(5001 digits\), 1, 2\]$"):
+            channel.break_model_from_json_dict(model)
 
 
 class TestTraceStats:

@@ -12,7 +12,11 @@ The laws:
 - PerBond(p): every bond breaks independently with probability p;
 - ExactlyT and AtMostT: given a strand's break count c, its bonds are a
   uniform c-subset of the bond range;
-- AtMostT(t): the break count is uniform on 0..t.
+- AtMostT(t): the break count is uniform on 0..t;
+- a full PerBond(p) pool: with K ~ Binomial(n - 1, p) breaks a strand has
+  one Full fragment if K = 0, one Prefix and one Suffix if K >= 1, and
+  max(K - 1, 0) middle fragments; and data column j is counted iff the
+  strand has no break among bonds 1..j-1 or none among bonds j..n-1.
 """
 
 import math
@@ -20,11 +24,25 @@ import math
 import numpy as np
 import pytest
 
-from compodna import AlphabetParams, AtMostT, CompositeMatrix, CompositeSymbol, ExactlyT, PerBond, synthesize
-from compodna.channel import break_strands
+from compodna import (
+    AlphabetParams,
+    AtMostT,
+    CompositeMatrix,
+    CompositeSymbol,
+    ExactlyT,
+    FragmentClass,
+    MarkerCodeParams,
+    PerBond,
+    construct_codeword,
+    layout,
+    random_message,
+    synthesize,
+)
+from compodna import channel
+from compodna.channel import align_pool, break_strands
 
 FAMILY_ALPHA = 1e-4
-STATISTICS = 9  # every chi-square statistic computed in this file
+STATISTICS = 11  # every chi-square statistic computed in this file
 ALPHA = FAMILY_ALPHA / STATISTICS
 
 DNA = AlphabetParams(q=4, M=6)
@@ -180,3 +198,63 @@ class TestBreakLaws:
         counts, _, _ = bond_cuts(30, AtMostT(t=t), s, seed=10)
         assert counts.max() <= t
         assert_fits(pearson(np.bincount(counts, minlength=t + 1), np.full(t + 1, s / (t + 1))), t)
+
+
+def mahalanobis(deviation: np.ndarray, covariance: np.ndarray, count: int) -> float:
+    """The Pearson statistic of a sum of `count` i.i.d. vectors with the given
+    per-vector covariance: chi-square on len(deviation) df for large counts."""
+    return float(deviation @ np.linalg.solve(covariance, deviation)) / count
+
+
+class TestPerBondFragmentLaws:
+    """A full PerBond pool aligned in pool order, so align_pool counts it in place."""
+
+    N, ELL, P, S = 40, 3, 0.05, 20_000
+
+    def _aligned(self, seed):
+        params = MarkerCodeParams(alphabet=DNA, n=self.N, ell=self.ELL)
+        strands = synthesize(construct_codeword(random_message(params, seed), params), self.S, seed)
+        pool = break_strands(self.N, PerBond(p=self.P), self.S, seed)
+        aligned = align_pool(strands, pool, params)
+        # Every usable fragment sits at its own columns: the in-place count reads it all.
+        assert aligned.count_table.sum() >= channel._IN_PLACE_SHARE * strands.size
+        return params, pool, aligned
+
+    def test_tallies_by_true_class(self):
+        params, pool, aligned = self._aligned(seed=15)
+        n, span, s = self.N, self.ELL + 2, self.S
+        at_start, at_end = pool.start == 1, pool.end == n
+        length = pool.end - pool.start + 1
+        # Markers are unique, so the predicted class follows from position and length.
+        expected = np.full(len(pool), tuple(FragmentClass).index(FragmentClass.DISCARD))
+        for kind, where in [
+            (FragmentClass.PREFIX, at_start & (length > span)),
+            (FragmentClass.SUFFIX, at_end & (length > span)),
+            (FragmentClass.FULL, at_start & at_end),
+            (FragmentClass.MARKER_ONLY, (at_start | at_end) & (length == span)),
+        ]:
+            expected[where] = tuple(FragmentClass).index(kind)
+        assert (aligned.classes == expected).all()
+        full, middle = int((at_start & at_end).sum()), int((~at_start & ~at_end).sum())
+        assert (at_start & ~at_end).sum() == (at_end & ~at_start).sum() == s - full
+        # Per strand: [K = 0] and max(K - 1, 0), with K ~ Binomial(n - 1, p).
+        bonds, p = n - 1, self.P
+        none = (1 - p) ** bonds
+        mean = bonds * p - 1 + none
+        var = bonds * p * (1 - p) + (bonds * p - 1) ** 2 - none - mean**2
+        covariance = np.array([[none * (1 - none), -none * mean], [-none * mean, var]])
+        assert_fits(mahalanobis(np.array([full - s * none, middle - s * mean]), covariance, s), 2)
+
+    def test_data_column_coverage(self):
+        params, _, aligned = self._aligned(seed=16)
+        cols = np.array(layout(params).data_positions())
+        observed = aligned.count_table.sum(axis=0)[cols - 1]
+        # Columns j < k split the bonds into [1, j-1], [j, k-1] and [k, n-1], clean
+        # with probabilities x, y, z; both are counted iff two of the three are clean.
+        keep = 1 - self.P
+        lo, hi = np.minimum.outer(cols, cols), np.maximum.outer(cols, cols)
+        x, y, z = keep ** (lo - 1), keep ** (hi - lo), keep ** (self.N - hi)
+        both = x * y + x * z + y * z - 2 * x * y * z
+        covered = np.diag(both)
+        covariance = both - np.outer(covered, covered)
+        assert_fits(mahalanobis(observed - self.S * covered, covariance, self.S), len(cols))

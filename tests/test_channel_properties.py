@@ -1,7 +1,10 @@
 """Property tests of the array channel core: split invariance, the array
-classifier/counter against a per-fragment oracle, Floyd bond draws, the cut
-and synthesis cores against scalar references, and block-size invariance."""
+classifier/counter against a per-fragment oracle, the in-place count against
+the gather, Floyd bond draws, the cut and synthesis cores against scalar
+references, block-size invariance, and run_experiment's pinned outputs."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from compodna import (
     AlphabetParams,
     AtMostT,
+    ChannelConfig,
     ExactlyT,
     FragmentClass,
     MarkerCodeParams,
@@ -21,6 +25,7 @@ from compodna import (
     classify_fragment,
     construct_codeword,
     message_radices,
+    run_experiment_traced,
     sample_fragments,
     substream,
     synthesize,
@@ -107,19 +112,30 @@ class TestSplitInvariance:
         seed=st.integers(0, 2**63),
     )
     def test_slices_read_the_same_rows(self, n, model, cuts, seed):
-        count = 600  # crosses the 256-row blocks
+        count = 600
         params = MarkerCodeParams(alphabet=DNA, n=n, ell=3)
         codeword = random_codeword(params, np.random.default_rng(seed % 1000))
-        whole = synthesize(codeword, count, seed)
-        pool = break_strands(n, model, count, seed)
-        # Strand i's bases and cuts do not depend on how many strands are drawn.
-        for m in [*sorted(set(cuts)), count]:
-            assert (synthesize(codeword, m, seed) == whole[:m]).all()
-            head = break_strands(n, model, m, seed)
-            mine = pool.strand < m
-            assert (head.strand == pool.strand[mine]).all()
-            assert (head.start == pool.start[mine]).all()
-            assert (head.end == pool.end[mine]).all()
+        with pytest.MonkeyPatch.context() as patch:
+            # 1000 draws or bases a block: 600 strands cross synthesis blocks of 25 to 62
+            # rows, break blocks of 25 to 250 and in-place count blocks of 25 to 90; a
+            # share of 0 counts the pool in place whatever it covers.
+            patch.setattr(channel, "_BLOCK", 1000)
+            patch.setattr(channel, "_IN_PLACE_SHARE", 0)
+            whole = synthesize(codeword, count, seed)
+            pool = break_strands(n, model, count, seed)
+            # Strand i's bases and cuts do not depend on how many strands are drawn.
+            for m in [*sorted(set(cuts)), count]:
+                assert (synthesize(codeword, m, seed) == whole[:m]).all()
+                head = break_strands(n, model, m, seed)
+                mine = pool.strand < m
+                assert (head.strand == pool.strand[mine]).all()
+                assert (head.start == pool.start[mine]).all()
+                assert (head.end == pool.end[mine]).all()
+            aligned = align_pool(whole, pool, params)
+        frags = [whole[s, a - 1 : b] for s, a, b in zip(pool.strand, pool.start, pool.end)]
+        gathered = align_and_count(frags, params)
+        assert (aligned.count_table == gathered.count_table).all()
+        assert (aligned.classes == gathered.classes).all()
 
     @PROPERTY
     @given(n=st.integers(11, 40), model=MODELS, index=st.integers(0, 300), seed=st.integers(0, 2**63))
@@ -180,6 +196,48 @@ class TestArrayClassifierMatchesOracle:
         for result in (align_pool(strands, pool, params), align_and_count(frags, params)):
             assert [tuple(FragmentClass)[c] for c in result.classes] == classes
             assert (result.count_table == table).all() and table.sum() == 44 * 30
+
+
+def plant_markers(strands, params, rng, share):
+    """Write the marker pattern from a data column on, in about `share` of the strands,
+    so that fragments starting or ending there carry a false marker."""
+    pattern = np.array(params.marker_pattern())
+    span, n = len(pattern), params.n
+    rows = np.flatnonzero(rng.random(len(strands)) < share)
+    for row, at in zip(rows, rng.integers(span, max(span, n - 2 * span) + 1, size=len(rows))):
+        strands[row, at : at + span] = pattern
+
+
+class TestInPlaceCountMatchesGather:
+    """align_pool on break_strands pools in pool order: counted in place (share rule 0,
+    or the default) and gathered alone (share rule infinite) give the same result."""
+
+    @PROPERTY
+    @given(params=code_params(), model=MODELS, sample=st.sampled_from(["full", "part", "replace"]),
+           plant=st.sampled_from([0, 0.3]), seed=st.integers(0, 2**32))
+    def test_pool_order_samples(self, params, model, sample, plant, seed):
+        if not isinstance(model, PerBond) and model.t > params.n - 1:
+            return
+        rng = np.random.default_rng(seed)
+        strands = synthesize(random_codeword(params, rng), 300, seed)
+        plant_markers(strands, params, rng, plant)
+        pool = break_strands(params.n, model, 300, seed)
+        k = {"full": len(pool), "part": int(rng.integers(1, len(pool) + 1)), "replace": 2 * len(pool)}[sample]
+        picked = sample_fragments(pool, k, sample == "replace", substream(seed, LANE_SAMPLE))
+        picked = picked[np.argsort(picked.strand * params.n + picked.start, kind="stable")]
+        calls = []
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            counted = channel._count_in_place
+            patch.setattr(channel, "_count_in_place", lambda *args: calls.append(1) or counted(*args))
+            for share in (0, channel._IN_PLACE_SHARE, math.inf):
+                patch.setattr(channel, "_IN_PLACE_SHARE", share)
+                results.append(align_pool(strands, picked, params))
+        assert calls[0] == 1 and len(calls) <= 2  # share 0 always counts in place; infinite never
+        for result in results[:2]:
+            assert (result.count_table == results[2].count_table).all()
+            assert (result.classes == results[2].classes).all()
+            assert result.tallies == results[2].tallies
 
 
 class TestFloydDraws:
@@ -288,6 +346,17 @@ class TestBlockSizes:
 
     CAPS = [1, 2, 37, 1000, 10**9]
 
+    @pytest.mark.parametrize("model, sample", [(ExactlyT(t=2), None), (PerBond(p=0.05), 200), (AtMostT(t=3), None)],
+                             ids=repr)
+    def test_run_experiment(self, model, sample, monkeypatch):
+        config = ChannelConfig(MarkerCodeParams(alphabet=DNA, n=30, ell=3), 150, model, sample, sample is not None, 5)
+        results = []
+        for cap in self.CAPS:
+            monkeypatch.setattr(channel, "_BLOCK", cap)
+            report, stats = run_experiment_traced(config)
+            results.append((report.to_json(), vars(stats)))
+        assert all(result == results[0] for result in results[1:])
+
     @pytest.mark.parametrize("model", [PerBond(p=0.1), ExactlyT(t=2), AtMostT(t=3)], ids=repr)
     def test_synthesis_and_breaks(self, model, monkeypatch):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
@@ -309,12 +378,40 @@ class TestBlockSizes:
         pool = break_strands(params.n, AtMostT(t=min(3, params.n - 1)), 50, seed)
         picked = pool[rng.integers(0, len(pool), size=2 * len(pool))]
         picked_frags = [strands[s, a - 1 : b] for s, a, b in zip(picked.strand, picked.start, picked.end)]
-        expected = [oracle_align(frags, params), oracle_align(picked_frags, params)]
+        pool_frags = [strands[s, a - 1 : b] for s, a, b in zip(pool.strand, pool.start, pool.end)]
+        expected = [oracle_align(frags, params), oracle_align(picked_frags, params), oracle_align(pool_frags, params)]
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(channel, "_IN_PLACE_SHARE", 0)  # the pool in pool order is counted in place
             for cap in self.CAPS:
                 patch.setattr(channel, "_BLOCK", cap)
-                results = [align_and_count(frags, params), align_pool(strands, picked, params)]
+                results = [align_and_count(frags, params), align_pool(strands, picked, params),
+                           align_pool(strands, pool, params)]
                 for result, (classes, table) in zip(results, expected):
                     assert [tuple(FragmentClass)[c] for c in result.classes] == classes
                     assert (result.count_table == table).all()
                     assert result.tallies == {kind: classes.count(kind) for kind in FragmentClass}
+
+
+class TestRunExperimentPinned:
+    """run_experiment_traced's reports and TraceStats on a grid hash to the value
+    they had before alignment counted in place; a change to any stream changes it."""
+
+    PINNED = "ab6e95545488ee1a876a8581e7a98a780a3eb53d099949aed081abbefa977157"
+
+    def test_grid_hash(self):
+        digest = hashlib.sha256()
+        models = [PerBond(p=0.05), ExactlyT(t=1, bond_range=(5, 15)), ExactlyT(t=3), AtMostT(t=3)]
+        for alphabet in (DNA, AlphabetParams(q=2, M=3)):
+            for n, ell in ((20, 2), (60, 3)):
+                for model in models:
+                    for sample, replace in ((None, False), (150, False), (400, True)):
+                        for seed in (1, 2):
+                            params = MarkerCodeParams(alphabet=alphabet, n=n, ell=ell)
+                            config = ChannelConfig(params, 300, model, sample, replace, seed)
+                            try:
+                                report, stats = run_experiment_traced(config)
+                                digest.update(report.to_json().encode())
+                                digest.update(json.dumps(vars(stats), sort_keys=True).encode())
+                            except ValueError as exc:
+                                digest.update(f"{type(exc).__name__}: {exc}".encode())
+        assert digest.hexdigest() == self.PINNED

@@ -438,6 +438,17 @@ class TestSimulate:
         assert err.startswith("error: bond break probability must be in [0, 1], got 1000000000")
         assert len(err) < 200
 
+    def test_huge_mistyped_field_error_is_short(self, capsys, tmp_path):
+        # A huge integer where an object belongs, top level and inside an array.
+        for field in ('"code_params": P', '"code_params": [[P]]'):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(dict(BASE_CONFIG, code_params="C")).replace('"code_params": "C"', field)
+                            .replace("P", "1" + "0" * 5000))
+            code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: config.code_params must be an object, got ") and "(5001 digits)" in err
+            assert len(err) < 200
+
     def test_sweep_requires_array(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
         code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")

@@ -1,6 +1,7 @@
 """Composite symbol algebra: enumeration, ranking, apportionment, serialization, CSV cells."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
-from compodna.symbols import csv_row
+from compodna.symbols import csv_row, json_value
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -248,3 +249,27 @@ class TestMatrixSerialization:
 def test_csv_cell_rule(value, cell):
     assert csv_row([value]) == cell
     assert csv_row(["x", value, 1]) == f"x,{cell},1"
+
+
+class TestHugeIntegersInTypeErrors:
+    """A mistyped value names its integers through brief at any depth: one past the
+    4300-digit int-to-str limit must not raise that limit's error instead."""
+
+    BIG = 10**5000
+
+    def test_top_level(self):
+        with pytest.raises(ValueError, match=r"^x must be an object, got 1000000000\.\.\. \(5001 digits\)$"):
+            json_value(self.BIG, "object", "x")
+
+    def test_inside_arrays_and_objects(self):
+        value = [1, [-self.BIG, True, None], {"a": 10**60, "b": "s"}, 2.5]
+        shown = '[1, [-1000000000... (5001 digits), true, null], {"a": 1000000000... (61 digits), "b": "s"}, 2.5]'
+        with pytest.raises(ValueError) as exc:
+            json_value(value, "object", "x")
+        assert str(exc.value) == f"x must be an object, got {shown}"
+
+    @pytest.mark.parametrize("value", [[1, 2], {"k": [3, {"j": None}]}, 10**49, -(10**49), "s", 0.1, False])
+    def test_small_values_read_as_json(self, value):
+        with pytest.raises(ValueError) as exc:
+            json_value(value, "integer" if not isinstance(value, int) or isinstance(value, bool) else "array", "x")
+        assert str(exc.value).endswith(f"got {json.dumps(value)}")
