@@ -126,11 +126,19 @@ def brief(value: object) -> str:
 
 
 def brief_json(value: object) -> str:
-    """`value` as JSON for an error message, with every integer in it shown by brief."""
+    """`value` as JSON for an error message, with every integer in it shown by brief.
+
+    Containers are walked in plain loops, one frame per level of nesting, so
+    that any value json.loads returns renders within the recursion limit."""
+    parts = []
     if isinstance(value, (list, tuple)):
-        return f"[{', '.join(map(brief_json, value))}]"
+        for item in value:
+            parts.append(brief_json(item))
+        return f"[{', '.join(parts)}]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(key))}: {brief_json(item)}" for key, item in value.items()) + "}"
+        for key, item in value.items():
+            parts.append(f"{json.dumps(str(key))}: {brief_json(item)}")
+        return f"{{{', '.join(parts)}}}"
     return brief(value) if isinstance(value, int) and not isinstance(value, bool) else json.dumps(value, default=repr)
 
 

@@ -268,6 +268,15 @@ class TestHugeIntegersInTypeErrors:
             json_value(value, "object", "x")
         assert str(exc.value) == f"x must be an object, got {shown}"
 
+    def test_deeply_nested_value(self):
+        # One frame per level: as deep as json.loads itself goes, within reason.
+        value = [10**5000]
+        for _ in range(300):
+            value = {"a": [value]}
+        with pytest.raises(ValueError) as exc:
+            json_value(value, "integer", "x")
+        assert str(exc.value).endswith("[1000000000... (5001 digits)]" + "]}" * 300)
+
     @pytest.mark.parametrize("value", [[1, 2], {"k": [3, {"j": None}]}, 10**49, -(10**49), "s", 0.1, False])
     def test_small_values_read_as_json(self, value):
         with pytest.raises(ValueError) as exc:
