@@ -182,7 +182,7 @@ class TestArrayClassifierMatchesOracle:
 
 
     def test_first_block_without_usable_fragments(self):
-        # 256 one-base fragments fill the first block; the rest are whole strands.
+        # 256 one-base fragments, all discarded, come first; the rest are whole strands.
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         strands = synthesize(random_codeword(params, np.random.default_rng(3)), 300, seed=3)
         pool = FragmentPool(
@@ -224,16 +224,21 @@ class TestInPlaceCountMatchesGather:
         pool = break_strands(params.n, model, 300, seed)
         k = {"full": len(pool), "part": int(rng.integers(1, len(pool) + 1)), "replace": 2 * len(pool)}[sample]
         picked = sample_fragments(pool, k, sample == "replace", substream(seed, LANE_SAMPLE))
-        picked = picked[np.argsort(picked.strand * params.n + picked.start, kind="stable")]
-        calls = []
+        picked = picked[np.argsort(picked.strand * params.n + picked.start)]  # pool order, as run_experiment
+        shares = []  # the share rule in force at each in-place count
         results = []
         with pytest.MonkeyPatch.context() as patch:
             counted = channel._count_in_place
-            patch.setattr(channel, "_count_in_place", lambda *args: calls.append(1) or counted(*args))
+
+            def record(*args):
+                shares.append(channel._IN_PLACE_SHARE)
+                return counted(*args)
+
+            patch.setattr(channel, "_count_in_place", record)
             for share in (0, channel._IN_PLACE_SHARE, math.inf):
                 patch.setattr(channel, "_IN_PLACE_SHARE", share)
                 results.append(align_pool(strands, picked, params))
-        assert calls[0] == 1 and len(calls) <= 2  # share 0 always counts in place; infinite never
+        assert shares[:1] == [0] and math.inf not in shares
         for result in results[:2]:
             assert (result.count_table == results[2].count_table).all()
             assert (result.classes == results[2].classes).all()
@@ -393,8 +398,8 @@ class TestBlockSizes:
 
 
 class TestRunExperimentPinned:
-    """run_experiment_traced's reports and TraceStats on a grid hash to the value
-    they had before alignment counted in place; a change to any stream changes it."""
+    """run_experiment_traced's reports and TraceStats on a grid, hashed and pinned:
+    a change to any stream or report moves the hash."""
 
     PINNED = "ab6e95545488ee1a876a8581e7a98a780a3eb53d099949aed081abbefa977157"
 
