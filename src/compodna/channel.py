@@ -609,9 +609,10 @@ def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
     The stages are the public ones, chained: random_message, construct_codeword,
-    synthesize, break_strands, sample_fragments (its sample put in pool order),
-    align_pool, estimate_matrix. `workers` is accepted for compatibility and
-    has no effect; the report is byte-identical at any value.
+    synthesize, break_strands, sample_fragments (its sample put in pool order;
+    the whole pool without replacement is the pool itself), align_pool,
+    estimate_matrix. `workers` is accepted for compatibility and has no
+    effect; the report is byte-identical at any value.
     """
     return _run(config)[0]
 
