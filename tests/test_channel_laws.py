@@ -221,7 +221,7 @@ class TestPerBondFragmentLaws:
             covered.append(int((edges[1::2] - edges[::2]).sum()))
             counted(strands, edges, table)
 
-        # Such a pool covers about 0.74 of the matrix, under the share rule: lift the rule.
+        # Such a pool covers about 0.74 of the matrix, below the share cut: lift the cut.
         monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
         monkeypatch.setattr(channel, "_count_in_place", record)
         aligned = align_pool(strands, pool, params)
