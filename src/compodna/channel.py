@@ -17,10 +17,10 @@ Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
 and the message draw each read their own lane: the stream keyed by
 (seed, lane). Strand i's row of w break doubles starts at counter block
-i * ceil(w / 4) of its lane, and its n synthesis draws of 32 bits at block
-i * ceil(n / 8): a block holds four 64-bit words. So strand i reads the
-same draws whatever the strand count or block size, and results are
-identical under any execution order.
+i * ceil(w / 4) of its lane (four 64-bit words a block), and its synthesis
+words at word i * ceil(n / k), k base-M slots a word (see synthesize). So
+strand i reads the same draws whatever the strand count or block size, and
+results are identical under any execution order.
 """
 
 from __future__ import annotations
@@ -64,19 +64,14 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _lane_rows(seed: int, lane: int, count: int, width: int, dtype: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row offset, contiguous block of rows) covering `count` rows: row i
-    holds strand i's `width` draws, doubles ("f8") or a word's 32-bit halves, low
-    first ("<u4"), from counter block i * ceil(width / per_block), then its padding."""
-    per_block = 32 // np.dtype(dtype).itemsize
-    stride = -(-width // per_block) * per_block
-    gen = substream(seed, lane)
+def _lane_rows(seed: int, lane: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row offset, contiguous block of rows) covering `count` rows: row i holds
+    strand i's `width` doubles from counter block i * ceil(width / 4), then its padding."""
+    stride, gen = -(-width // 4) * 4, substream(seed, lane)
     step = max(1, _BLOCK // max(stride, 1))
     for lo in range(0, count, step):
         rows = min(step, count - lo)
-        size = rows * stride
-        raw = gen.random(size) if dtype == "f8" else gen.bit_generator.random_raw(size // 2).astype("<u8", copy=False)
-        yield lo, raw.view(dtype).reshape(rows, stride)
+        yield lo, gen.random(rows * stride).reshape(rows, stride)
 
 
 @dataclass(frozen=True)
@@ -204,6 +199,7 @@ class ChannelConfig:
             raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {brief(self.sample_size)}")
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
+        _slots_per_word(self.code_params.M)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -230,31 +226,46 @@ class ChannelConfig:
         return cls.from_json_dict(json.loads(text), default_seed=default_seed)
 
 
+def _slots_per_word(m: int) -> int:
+    """Base-M slots synthesis reads from one 64-bit word: the largest k <= 32 with M^k <= 2^32."""
+    if m > 1 << 32:
+        raise ValueError(f"synthesis draws base-M slots from 32 bits, so M must be <= 2^32, got M={brief(m)}")
+    return next(k for k in range(32, 0, -1) if m**k <= 1 << 32)
+
+
 def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. strands from the matrix's column distributions.
 
-    Returns a (count, n) array of 1-based base indices. Strand i reads row
-    i of the synthesis lane, so the first m strands are the same whatever
-    `count` is. A column draws base k+1 or later when its 32-bit draw r is
-    at least ceil(cum_k * 2^32 / M), cum_k being the count of bases 1..k.
-    So each base's probability is its count / M to within 2^-32, and a
-    zero-count base has an empty interval: it is never drawn.
+    Returns a (count, n) array of 1-based base indices. Each 64-bit word r of the
+    synthesis lane holds k = _slots_per_word(M) base-M slots, the digits of
+    v = floor(r * M^k / 2^64), least significant first: strand i reads words
+    i*W .. i*W + W - 1, W = ceil(n / k), column w*k + d digit d of word w. So the
+    first m strands are the same whatever `count` is. Slot s draws base b when
+    cum_(b-1) <= s < cum_b (cum_b counts bases 1..b): each base is drawn with
+    probability count / M to within 2^-32 (README, Determinism), a zero-count base never.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
-    cum = np.cumsum(matrix.count_array(), axis=0)[:-1, :]
-    # r >= threshold as r > threshold - 1 in uint32: one of 2^32 is never passed,
-    # and one of 0, always passed, raises the column's first base instead.
-    first = 1 + (cum == 0).sum(axis=0, dtype=np.int16)
-    limits = np.full((len(cum), -(-matrix.n // 8) * 8), 2**32 - 1, dtype=np.uint32)  # padding draws pass none
-    limits[:, : matrix.n] = np.where(cum == 0, 2**32 - 1, -(-(cum.astype(object) << 32) // matrix.params.M) - 1)
-    strands = np.empty((count, matrix.n), dtype=np.int16)
-    for lo, r in _lane_rows(seed, LANE_SYNTH, count, matrix.n, "<u4"):
-        tiled = np.tile(limits, len(r)) if lo == 0 else tiled  # the first block is the largest
-        above = np.zeros(r.size, dtype=np.int8 if len(cum) < 128 else np.int16)  # one flat pass per threshold
+    m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
+    width, big, slot = -(-n // k), np.uint64(m**k), np.min_scalar_type(m)
+    limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
+    limits[:, :n] = np.cumsum(matrix.count_array(), axis=0)[:-1]
+    strands = np.empty((count, n), dtype=np.int16)
+    words, step = substream(seed, LANE_SYNTH).bit_generator, max(1, _BLOCK // width)
+    for lo in range(0, count, step):
+        rows = min(step, count - lo)
+        r = words.random_raw(rows * width)  # Philox carries a partial counter block to the next call
+        v = (((r >> 32) * big + ((r & 0xFFFFFFFF) * big >> 32)) >> 32).astype(np.uint32)  # < 2^64 throughout
+        slots = np.empty((len(v), k), dtype=slot)
+        for d in range(k - 1):
+            rest = v // m
+            slots[:, d], v = v - rest * m, rest
+        slots[:, k - 1] = v
+        tiled = np.tile(limits, rows) if lo == 0 else tiled  # the first block is the largest
+        above = np.zeros(slots.size, dtype=np.int8 if len(limits) < 128 else np.int16)  # one flat pass per bound
         for limit in tiled:
-            above += r.ravel() > limit[: r.size]
-        np.add(above.reshape(r.shape)[:, : matrix.n], first, out=strands[lo : lo + len(r)])
+            above += slots.ravel() >= limit[: slots.size]
+        np.add(above.reshape(rows, -1)[:, :n], np.int16(1), out=strands[lo : lo + rows])
     return strands
 
 
@@ -317,7 +328,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     width = _break_width(model, n)
-    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width, "f8")]
+    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width)]
     row = np.concatenate([row + lo for lo, row, _ in blocks])
     bond = np.concatenate([bond for _, _, bond in blocks])
     # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.
@@ -546,9 +557,13 @@ class TraceStats:
 
 
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
-    """Seed-derived uniform message over the layout's mixed radices."""
+    """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
     gen = substream(seed, LANE_MESSAGE)
-    return [int(gen.integers(0, radix)) for radix in message_radices(params)]
+    radices = message_radices(params)
+    for j, radix in zip(layout(params).data_positions(), radices):
+        if radix > 1 << 63:
+            raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(radix)}")
+    return [int(gen.integers(0, radix)) for radix in radices]
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:

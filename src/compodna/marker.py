@@ -276,8 +276,8 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
 
     The continuous optimum is ell* = sqrt((n-4)/2 * log_Q(Q/(Q-R))) with
     minimized redundancy 4 + 2 sqrt(2(n-4) log_Q(Q/(Q-R))) - 2 log_Q(Q/(Q-R)).
-    `ell_integer` scans code_redundancy_formula over all feasible integer
-    ell (ties to the smaller ell); `redundancy_at_integer` is its minimum.
+    `ell_integer` minimizes code_redundancy_formula over the feasible integer
+    ell (ties to the smaller ell); `redundancy_at_integer` is that minimum.
     """
     if n < 9:
         raise ValueError(f"need n >= 9, got {n}")
@@ -286,11 +286,15 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
     ell_formula = math.sqrt((n - 4) / 2 * lam)
     red_opt = 4 + 2 * math.sqrt(2 * (n - 4) * lam) - 2 * lam
 
-    # (redundancy, ell) pairs: the minimum breaks ties to the smaller ell.
-    best_red, best_ell = min(
-        (code_redundancy_formula(MarkerCodeParams(alphabet=alphabet, n=n, ell=ell)), ell)
-        for ell in range(1, (n - 5) // 2 + 1)
-    )
+    # Ascending ell, ties to the smaller. The redundancy is at least 2 ell + 4 (its
+    # floor term is >= 0), so no ell with 2 ell + 4 above the best so far can beat it.
+    best_red, best_ell = math.inf, 0
+    for ell in range(1, (n - 5) // 2 + 1):
+        if 2 * ell + 4 > best_red:
+            break
+        red = code_redundancy_formula(MarkerCodeParams(alphabet=alphabet, n=n, ell=ell))
+        if red < best_red:
+            best_red, best_ell = red, ell
     return OptimalMarkerLength(ell_formula, best_ell, red_opt, best_red)
 
 

@@ -219,13 +219,19 @@ def _rank_composition(counts: Sequence[int]) -> int:
 
 
 def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
-    r = index
+    # Bar j is the largest s with C(s, j) <= r, bisected on [j - 1, hi): C(j - 1, j) = 0 <= r,
+    # and r < C(hi, j) for hi = bar j + 1 (for the top bar, total + parts - 1: r < Q).
+    r, hi = index, total + parts - 1
     subset = [0] * (parts - 1)
     for j in range(parts - 1, 0, -1):
         s = j - 1
-        while math.comb(s + 1, j) <= r:
-            s += 1
-        subset[j - 1] = s
+        while hi - s > 1:
+            mid = (s + hi) // 2
+            if math.comb(mid, j) <= r:
+                s = mid
+            else:
+                hi = mid
+        subset[j - 1] = hi = s
         r -= math.comb(s, j)
     # Each count is the gap between consecutive bars among total + parts - 1 slots.
     edges = [-1, *subset, total + parts - 1]

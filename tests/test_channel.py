@@ -85,10 +85,10 @@ class TestSynthesize:
         assert (a == b).all()
 
     def test_split_invocation_matches_single_call(self, monkeypatch):
-        # counter-addressed strand rows: a smaller call draws the first rows
+        # word-addressed strand rows: a smaller call draws the first rows
         # of a larger one, at cuts on either side of 256-row blocks (rows of
-        # 32 draws at n = 30, so _BLOCK = 256 * 32 draws)
-        monkeypatch.setattr(channel, "_BLOCK", 256 * 32)
+        # 3 words at n = 30, 12 slots a word, so _BLOCK = 256 * 3 words)
+        monkeypatch.setattr(channel, "_BLOCK", 256 * 3)
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         cw = make_codeword(params)
         whole = synthesize(cw, 600, seed=21)
@@ -101,24 +101,28 @@ class TestSynthesize:
         assert strands.min() >= 1 and strands.max() <= 4
 
 
-class _TopUniformGenerator:
-    """Stand-in generator whose every 32-bit synthesis draw is the largest, 2^32 - 1."""
+class _ConstantWordGenerator:
+    """Stand-in generator whose every synthesis word is `word`, by default all ones, 2^64 - 1."""
+
+    def __init__(self, word=2**64 - 1):
+        self.word = word
 
     @property
     def bit_generator(self):
         return self
 
     def random_raw(self, size):
-        return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 class TestZeroWeightBases:
-    # (1,4,1,0) at q=4, M=6: the last base weighs nothing, so its threshold
-    # is 2^32, which the top draw must not pass.
+    # (1,4,1,0) at q=4, M=6: the last base weighs nothing, so it owns no slot.
+    # An all-ones word gives v = M^k - 1, every slot M - 1, the top slot, which
+    # must draw the last base that owns one.
     SYMBOL = CompositeSymbol((1, 4, 1, 0))
 
     def _assert_no_zero_count_draws(self, matrix, monkeypatch):
-        monkeypatch.setattr(channel, "substream", lambda *args: _TopUniformGenerator())
+        monkeypatch.setattr(channel, "substream", lambda *args: _ConstantWordGenerator())
         strands = synthesize(matrix, 3, seed=0)
         counts = matrix.count_array()
         drawn = counts[strands - 1, np.arange(matrix.n)]
@@ -130,10 +134,18 @@ class TestZeroWeightBases:
 
     def test_trailing_zero_count_bases(self, monkeypatch):
         # The last two bases weigh nothing, or the first two and the last:
-        # two thresholds of 2^32, or thresholds of 0 and one of 2^32.
+        # the top slot must skip two empty bases at the end, or one at the end
+        # after two empty ones at the start.
         columns = (CompositeSymbol((2, 4, 0, 0)), CompositeSymbol((0, 0, 6, 0)), CompositeSymbol((3, 0, 3, 0)))
         matrix = CompositeMatrix(columns=columns, params=DNA)
         self._assert_no_zero_count_draws(matrix, monkeypatch)
+
+    def test_bottom_slot_skips_leading_zero_count_bases(self, monkeypatch):
+        # An all-zeros word gives every slot 0, which draws the first base that owns one.
+        columns = (CompositeSymbol((0, 4, 2, 0)), CompositeSymbol((0, 0, 0, 6)), CompositeSymbol((1, 0, 5, 0)))
+        matrix = CompositeMatrix(columns=columns, params=DNA)
+        monkeypatch.setattr(channel, "substream", lambda *args: _ConstantWordGenerator(0))
+        assert (synthesize(matrix, 3, seed=0) == [2, 4, 1]).all()
 
     def test_marker_base_q_layout(self, monkeypatch):
         # Breaker columns carry zero weight on the marker base, here base q.
@@ -559,6 +571,38 @@ class TestHugeValuesInErrors:
         model = {"kind": "exactly_t", "t": 1, "bond_range": [10**5000, 1, 2]}
         with pytest.raises(ValueError, match=rf"must hold two integers, got \[{self.HUGE}, 1, 2\]$"):
             channel.break_model_from_json_dict(model)
+
+
+class TestResolutionLimits:
+    """Synthesis reads base-M slots from 32 bits and the message draw radices up to 2^63:
+    past either limit a run stops with an error naming the value, before any draw."""
+
+    @pytest.mark.parametrize("m, shown", [(2**32 + 1, "4294967297"), (10**5000, r"1000000000\.\.\. \(5001 digits\)")],
+                             ids=["2^32+1", "10^5000"])
+    def test_config_and_synthesize_reject_m_past_2_to_the_32(self, m, shown, monkeypatch):
+        message = rf"so M must be <= 2\^32, got M={shown}$"
+        alphabet = AlphabetParams(q=2, M=m)
+        with pytest.raises(ValueError, match=message):
+            ChannelConfig(MarkerCodeParams(alphabet=alphabet, n=20, ell=2), 10, ExactlyT(t=1), None, False, 1)
+
+        def no_draw(*args):
+            raise AssertionError("synthesize drew before rejecting M")
+
+        monkeypatch.setattr(channel, "substream", no_draw)
+        with pytest.raises(ValueError, match=message):
+            synthesize(CompositeMatrix(columns=(CompositeSymbol((m, 0)),) * 3, params=alphabet), 5, seed=1)
+
+    def test_message_draw_names_a_radix_past_2_to_the_63(self):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=2**31), n=20, ell=2)
+        column, radix = layout(params).data_positions()[0], message_radices(params)[0]
+        with pytest.raises(ValueError, match=rf"radices <= 2\^63, but column {column} has radix {radix}$"):
+            random_message(params, 1)
+
+    def test_message_draw_takes_a_radix_of_2_to_the_63(self):
+        # q = 2: a free column's radix is M + 1, a breaker's 1.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=2, M=2**63 - 1), n=20, ell=2)
+        assert max(message_radices(params)) == 2**63
+        assert all(0 <= symbol < 2**63 for symbol in random_message(params, 1))
 
 
 class TestTraceStats:

@@ -8,7 +8,8 @@ probability at most 1e-4 in all. Never re-seed a test to make it pass.
 
 The laws:
 - synthesis: column j's bases are i.i.d. with law counts[:, j] / M, a
-  zero-count base never appears, and strands are independent;
+  zero-count base never appears, strands are independent, and so are two
+  columns whose slots are digits of one 64-bit word;
 - PerBond(p): every bond breaks independently with probability p;
 - ExactlyT and AtMostT: given a strand's break count c, its bonds are a
   uniform c-subset of the bond range;
@@ -42,7 +43,7 @@ from compodna import channel
 from compodna.channel import align_pool, break_strands
 
 FAMILY_ALPHA = 1e-4
-STATISTICS = 11  # every chi-square statistic computed in this file
+STATISTICS = 12  # every chi-square statistic computed in this file
 ALPHA = FAMILY_ALPHA / STATISTICS
 
 DNA = AlphabetParams(q=4, M=6)
@@ -133,6 +134,15 @@ class TestSynthesisLaw:
         last, first = counts[:, -1] / DNA.M, counts[:, 0] / DNA.M
         law = np.outer(last, first).ravel()
         observed = np.bincount((strands[:-1, -1] - 1) * 4 + strands[1:, 0] - 1, minlength=16)
+        assert (observed[law == 0] == 0).all()
+        assert_fits(pearson(observed[law > 0], s * law[law > 0]), int((law > 0).sum()) - 1)
+
+    def test_columns_of_one_word_are_independent(self):
+        # Columns 1 and 2 are digits 0 and 1 of each strand's first word: the product law.
+        s = 40_000
+        strands, counts = self._strands(s, seed=91)
+        law = np.outer(counts[:, 0] / DNA.M, counts[:, 1] / DNA.M).ravel()
+        observed = np.bincount((strands[:, 0] - 1) * 4 + strands[:, 1] - 1, minlength=16)
         assert (observed[law == 0] == 0).all()
         assert_fits(pearson(observed[law > 0], s * law[law > 0]), int((law > 0).sum()) - 1)
 

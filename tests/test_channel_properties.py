@@ -16,6 +16,8 @@ from compodna import (
     AlphabetParams,
     AtMostT,
     ChannelConfig,
+    CompositeMatrix,
+    CompositeSymbol,
     ExactlyT,
     FragmentClass,
     MarkerCodeParams,
@@ -31,7 +33,7 @@ from compodna import (
     synthesize,
 )
 from compodna import channel
-from compodna.channel import LANE_BREAK, LANE_SAMPLE, FragmentPool, align_pool, break_strands
+from compodna.channel import LANE_BREAK, LANE_SAMPLE, LANE_SYNTH, FragmentPool, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -275,13 +277,10 @@ class TestFloydDraws:
         assert abs(bonds.mean() - (lo + hi) / 2) <= 3 * sigma
 
 
-def lane_rows(seed, lane, count, width, per_block):
-    """The lane's draws, row i from counter block i * ceil(width / per_block), read in one call."""
-    stride = math.ceil(width / per_block) * per_block
-    gen = substream(seed, lane)
-    if per_block == 4:
-        return gen.random(count * stride).reshape(count, stride)[:, :width]
-    return gen.bit_generator.random_raw(count * stride // 2).view(np.uint32).reshape(count, stride)[:, :width]
+def lane_rows(seed, lane, count, width):
+    """The lane's doubles, row i from counter block i * ceil(width / 4), read in one call."""
+    stride = math.ceil(width / 4) * 4
+    return substream(seed, lane).random(count * stride).reshape(count, stride)[:, :width]
 
 
 def floyd_reference(u, n, model):
@@ -307,7 +306,7 @@ class TestCutCoreMatchesScalarReference:
     @pytest.mark.parametrize("n", [11, 40])
     def test_t_models(self, model, n):
         count, seed = 300, 2**63 + n
-        u = lane_rows(seed, LANE_BREAK, count, model.t + 1, 4)
+        u = lane_rows(seed, LANE_BREAK, count, model.t + 1)
         pool = break_strands(n, model, count, seed)
         cut = pool.start > 1
         for i in range(count):
@@ -322,7 +321,7 @@ class TestCutCoreMatchesScalarReference:
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
     def test_per_bond(self, p):
         n, count, seed = 40, 300, 77
-        u = lane_rows(seed, LANE_BREAK, count, n - 1, 4)
+        u = lane_rows(seed, LANE_BREAK, count, n - 1)
         pool = break_strands(n, PerBond(p=p), count, seed)
         cut = pool.start > 1
         for i in range(count):
@@ -330,20 +329,31 @@ class TestCutCoreMatchesScalarReference:
 
 
 class TestSynthesisMatchesScalarReference:
-    def test_rows_read_their_counter_blocks(self):
-        # Base k+1 or later when r >= ceil(cum_k * 2^32 / M), in exact integers.
-        # n = 19: a row of 24 draws, not the 20 that a stride of ceil(n / 4) blocks of four would give
-        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=7), n=19, ell=2)
-        codeword = random_codeword(params, np.random.default_rng(4))
-        counts = codeword.count_array().T.tolist()
-        count, seed = 200, 9
-        r = lane_rows(seed, 0, count, params.n, 8)
-        strands = synthesize(codeword, count, seed)
+    """synthesize against exact Python integers from the lane's raw 64-bit words."""
+
+    # (q, M, n, k): k = 11 slots a word at M = 7, so n = 19 takes W = 2 words and 3
+    # padding slots; M = 70000 and M = 2^32 give one slot a word; M = 1 gives 32 slots of 0.
+    @pytest.mark.parametrize("q, m, n, k", [(4, 7, 19, 11), (4, 6, 30, 12), (3, 70000, 13, 1), (2, 2**32, 9, 1),
+                                            (4, 1, 40, 32)])
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    def test_rows_read_their_words(self, q, m, n, k, block, monkeypatch):
+        assert m**k <= 2**32 and (k == 32 or m ** (k + 1) > 2**32)
+        if block is not None:  # 7 words a block: calls end inside Philox's counter blocks of 4
+            monkeypatch.setattr(channel, "_BLOCK", block)
+        rng = np.random.default_rng(m + n)
+        cuts = np.sort(rng.integers(0, m + 1, size=(n, q - 1)), axis=1)  # cumulative counts, zeros included
+        columns = [CompositeSymbol(tuple(np.diff(cut, prepend=0, append=m).tolist())) for cut in cuts]
+        matrix = CompositeMatrix(columns=tuple(columns), params=AlphabetParams(q=q, M=m))
+        count, seed, width = 200, 9, -(-n // k)
+        strands = synthesize(matrix, count, seed)
+        words = substream(seed, LANE_SYNTH).bit_generator.random_raw(count * width).tolist()
         for i in range(count):
-            for j, col in enumerate(counts):
-                cum = np.cumsum(col).tolist()[:-1]
-                base = 1 + sum(int(r[i, j]) >= -(-(c << 32) // params.M) for c in cum)
-                assert strands[i, j] == base
+            # Word w's v = floor(r * M^k / 2^64); column w * k + d reads v's base-M digit d.
+            values = [r * m**k >> 64 for r in words[i * width : (i + 1) * width]]
+            slots = [v // m**d % m for v in values for d in range(k)]
+            for j, col in enumerate(columns):
+                cum = np.cumsum(col.counts).tolist()
+                assert strands[i, j] == next(b for b, c in enumerate(cum, start=1) if slots[j] < c)
 
 
 class TestBlockSizes:
@@ -402,7 +412,7 @@ class TestRunExperimentPinned:
     """run_experiment_traced's reports and TraceStats on a grid, hashed and pinned:
     a change to any stream or report moves the hash."""
 
-    PINNED = "ab6e95545488ee1a876a8581e7a98a780a3eb53d099949aed081abbefa977157"
+    PINNED = "eee95e940d0b5ea2a2df5c5daf67b7f4fda6333d98a41815bb57f2234118737d"
 
     def test_grid_hash(self):
         digest = hashlib.sha256()

@@ -290,6 +290,17 @@ class TestOptimalMarkerLength:
             # ties resolve to the smallest ell
             assert opt.ell_integer == min(e for e, r in reds.items() if r == best)
 
+    @pytest.mark.parametrize("q, M", [(2, 1), (2, 3), (3, 2), (4, 6), (5, 10)])
+    def test_stopped_scan_equals_the_full_scan(self, q, M):
+        # The scan stops once 2 ell + 4 passes the best redundancy; the full scan's
+        # minimum over (redundancy, ell) pairs is the oracle, ties to the smaller ell.
+        alphabet = AlphabetParams(q=q, M=M)
+        for n in [*range(9, 401), *([200_000] if (q, M) == (4, 6) else [])]:
+            best = min((code_redundancy_formula(MarkerCodeParams(alphabet=alphabet, n=n, ell=ell)), ell)
+                       for ell in range(1, (n - 5) // 2 + 1))
+            opt = optimal_marker_length(q, M, n)
+            assert (opt.redundancy_at_integer, opt.ell_integer) == best
+
     def test_redundancy_at_integer_is_the_formula_at_ell_integer(self):
         for n in range(9, 201):
             opt = optimal_marker_length(4, 6, n)

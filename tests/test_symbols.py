@@ -135,6 +135,16 @@ class TestRankUnrank:
             assert rank_symbol(s, params) == i
             assert unrank_symbol(i, params) == s
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_round_trip_at_huge_resolution(self, q):
+        # Each bar is bisected with O(log M) binomials, so M = 10^12 unranks at once.
+        params = AlphabetParams(q=q, M=10**12)
+        size = alphabet_size(params)
+        for k in (0, 1, size // 3, size // 2 + 12345, size - 2, size - 1):
+            symbol = unrank_symbol(k, params)
+            assert sum(symbol.counts) == params.M and rank_symbol(symbol, params) == k
+        assert unrank_symbol(size - 1, params).counts == (params.M,) + (0,) * (q - 1)
+
     def test_out_of_range_index(self):
         params = AlphabetParams(q=4, M=6)
         for bad in (-1, 84, 1000):
