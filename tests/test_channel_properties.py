@@ -4,6 +4,7 @@ the gather, Floyd bond draws, the cut and synthesis cores against scalar
 references, block-size invariance, and run_experiment's pinned outputs."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -333,27 +334,27 @@ class TestSynthesisMatchesScalarReference:
 
     # (q, M, n, k): k = 11 slots a word at M = 7, so n = 19 takes W = 2 words and 3
     # padding slots; M = 70000 and M = 2^32 give one slot a word; M = 1 gives 32 slots of 0.
-    @pytest.mark.parametrize("q, m, n, k", [(4, 7, 19, 11), (4, 6, 30, 12), (3, 70000, 13, 1), (2, 2**32, 9, 1),
-                                            (4, 1, 40, 32)])
-    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
-    def test_rows_read_their_words(self, q, m, n, k, block, monkeypatch):
-        assert m**k <= 2**32 and (k == 32 or m ** (k + 1) > 2**32)
-        if block is not None:  # 7 words a block: calls end inside Philox's counter blocks of 4
+    CASES = [(4, 7, 19, 11), (4, 6, 30, 12), (3, 70000, 13, 1), (2, 2**32, 9, 1), (4, 1, 40, 32)]
+
+    def test_rows_read_their_words(self, monkeypatch):
+        count, seed = 200, 9
+        # The default block, and 7 words a block: calls end inside Philox's counter blocks of 4.
+        for (q, m, n, k), block in itertools.product(self.CASES, [channel._BLOCK, 7]):
+            assert m**k <= 2**32 and (k == 32 or m ** (k + 1) > 2**32)
             monkeypatch.setattr(channel, "_BLOCK", block)
-        rng = np.random.default_rng(m + n)
-        cuts = np.sort(rng.integers(0, m + 1, size=(n, q - 1)), axis=1)  # cumulative counts, zeros included
-        columns = [CompositeSymbol(tuple(np.diff(cut, prepend=0, append=m).tolist())) for cut in cuts]
-        matrix = CompositeMatrix(columns=tuple(columns), params=AlphabetParams(q=q, M=m))
-        count, seed, width = 200, 9, -(-n // k)
-        strands = synthesize(matrix, count, seed)
-        words = substream(seed, LANE_SYNTH).bit_generator.random_raw(count * width).tolist()
-        for i in range(count):
-            # Word w's v = floor(r * M^k / 2^64); column w * k + d reads v's base-M digit d.
-            values = [r * m**k >> 64 for r in words[i * width : (i + 1) * width]]
-            slots = [v // m**d % m for v in values for d in range(k)]
-            for j, col in enumerate(columns):
-                cum = np.cumsum(col.counts).tolist()
-                assert strands[i, j] == next(b for b, c in enumerate(cum, start=1) if slots[j] < c)
+            rng = np.random.default_rng(m + n)
+            cuts = np.sort(rng.integers(0, m + 1, size=(n, q - 1)), axis=1)  # cumulative counts, zeros included
+            columns = [CompositeSymbol(tuple(np.diff(cut, prepend=0, append=m).tolist())) for cut in cuts]
+            strands = synthesize(CompositeMatrix(columns=tuple(columns), params=AlphabetParams(q=q, M=m)), count, seed)
+            width = -(-n // k)
+            words = substream(seed, LANE_SYNTH).bit_generator.random_raw(count * width).tolist()
+            for i in range(count):
+                # Word w's v = floor(r * M^k / 2^64); column w * k + d reads v's base-M digit d.
+                values = [r * m**k >> 64 for r in words[i * width : (i + 1) * width]]
+                slots = [v // m**d % m for v in values for d in range(k)]
+                drawn = [next(b for b, c in enumerate(np.cumsum(col.counts), start=1) if s < c)
+                         for s, col in zip(slots, columns)]
+                assert strands[i].tolist() == drawn, f"M={m}, block {block}, strand {i}"
 
 
 class TestBlockSizes:
