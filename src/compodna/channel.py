@@ -11,7 +11,7 @@ A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices plus one (strand, start, end) triplet per
 fragment (`FragmentPool`), strand-major. Stages work in blocks of about
 `_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop. A
-sample in pool order is mostly counted in place on the matrix (align_pool).
+sample in pool order is mostly counted from the matrix's column counts (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
@@ -44,9 +44,9 @@ LANE_MESSAGE = 3
 
 # Draws or aligned bases per vectorized block: bounds the working set.
 _BLOCK = 1 << 14
-# align_pool counts in place when that covers this share of the strand matrix; below
-# it the gather is faster (the times cross near 0.57 at n = 100, 0.75 at n = 1000).
-_IN_PLACE_SHARE = 0.75
+# align_pool counts by columns when that covers this share of the strand matrix; below
+# it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
+_IN_PLACE_SHARE = 0.65
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -200,6 +200,7 @@ class ChannelConfig:
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)
+        _drawable_radices(self.code_params)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -410,9 +411,8 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
     Heads and tails are compared with marker_pattern(), by the rules of
     classify_fragment; fragments longer than n are discarded. Prefixes and
     full strands anchor at column 1, suffixes at column n. With `in_place`,
-    flat ravels the strand matrix, and align_pool's rule counts some there;
-    the rest are gathered and counted by one bincount over (base, column) per
-    block. Blocks end where the running count passes a multiple of `_BLOCK`.
+    flat ravels the strand matrix, and align_pool's rule counts some by its
+    column counts (_count_by_columns); the rest are gathered (_gathered).
     """
     q, n, pattern = params.q, params.n, params.marker_pattern()
     span = len(pattern)
@@ -434,39 +434,54 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
         mine &= (np.diff(offsets, prepend=-1) != 0) & (np.diff(offsets, append=flat.size) != 0)  # no twin beside
         edges = np.column_stack((offsets[mine], offsets[mine] + lengths[mine])).ravel()
         if lengths[mine].sum() >= _IN_PLACE_SHARE * flat.size and (np.diff(edges) >= 0).all():
-            _count_in_place(flat.reshape(-1, n), edges, table)
+            _count_by_columns(flat.reshape(-1, n), edges, table)
             gather &= ~mine
     usable = np.flatnonzero(gather)
-    bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(lengths[usable]) // _BLOCK)) + 1), len(usable)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        frag = usable[a:b]
-        off, size = offsets[frag], lengths[frag]
-        idx = np.arange(int(size.sum()))  # the block's aligned bases, then their flat indices
-        idx += np.repeat(off - np.cumsum(size) + size, size)
-        # A base at flat index i counts at (base - 1) * n + column = flat[i] * n + i + shift.
-        shift = np.where(classes[frag] == _SUFFIX, n - size, 0) - off - n
-        key = flat[idx].astype(np.intp)
-        key *= n
-        key += idx
-        key += np.repeat(shift, size)
-        table += np.bincount(key, minlength=q * n)
+    anchor = np.where(classes[usable] == _SUFFIX, n - lengths[usable], 0)
+    table += _gathered(flat, offsets[usable], lengths[usable], anchor, q, n)
     tallies = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
 
 
-def _count_in_place(strands: np.ndarray, edges: np.ndarray, table: np.ndarray) -> None:
-    """Add into the flat (q * n) `table` the bases of `strands` in the ascending, disjoint
-    flat ranges [edges[2i], edges[2i + 1]), at their own columns, one bincount per block of rows."""
-    n = strands.shape[1]
-    runs = np.diff(edges, prepend=0, append=strands.size)  # gap, range, gap, ..., range, gap
-    outside = np.repeat(np.arange(len(runs)) % 2 == 0, runs).reshape(strands.shape)
-    column = np.arange(-n, 0, dtype=np.int16 if len(table) < 1 << 15 else np.intp)
-    step = max(1, _BLOCK // n)
-    for lo in range(0, len(strands), step):
-        key = np.multiply(strands[lo : lo + step], n, dtype=column.dtype)  # (base - 1) * n + column
-        key += column
-        np.copyto(key, len(table), where=outside[lo : lo + step])  # to the dump bin past the table
-        table += np.bincount(key.ravel(), minlength=len(table) + 1)[:-1]
+def _gathered(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, columns: np.ndarray, q: int,
+              n: int) -> np.ndarray:
+    """The flat (q * n) count of the runs flat[offsets[i] : offsets[i] + lengths[i]], run i from 0-based
+    column columns[i] on: one bincount per block, blocks ending where the running length passes a
+    multiple of `_BLOCK`."""
+    table = np.zeros(q * n, dtype=np.int64)
+    bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(lengths) // _BLOCK)) + 1), len(lengths)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        off, size = offsets[a:b], lengths[a:b]
+        idx = np.arange(int(size.sum()))  # the block's bases, then their flat indices
+        idx += np.repeat(off - np.cumsum(size) + size, size)
+        # A base at flat index i counts at (base - 1) * n + column = flat[i] * n + i + shift.
+        key = flat[idx].astype(np.intp)
+        key *= n
+        key += idx
+        key += np.repeat(columns[a:b] - off - n, size)
+        table += np.bincount(key, minlength=q * n)
+    return table
+
+
+def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray) -> None:
+    """Count into the zero flat (q * n) `table` the bases of `strands` in the ascending, disjoint
+    flat ranges [edges[2i], edges[2i + 1]), at their own columns: the column counts of the whole
+    matrix, by blocks of rows, less the bases in the gaps between the ranges, gathered row by row."""
+    rows, n = strands.shape
+    counts = table.reshape(-1, n)
+    step = max(1, 8 * _BLOCK // n)  # smaller reduce calls cost more than they save
+    for lo in range(0, rows, step):
+        for b in range(1, len(counts)):
+            counts[b] += (strands[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int32)
+    counts[0] = rows - counts[1:].sum(axis=0)
+    gaps = np.concatenate(([0], edges, [strands.size])).reshape(-1, 2)
+    gaps = gaps[gaps[:, 0] < gaps[:, 1]]
+    first = gaps[:, 0] // n
+    pieces = (gaps[:, 1] - 1) // n - first + 1  # rows each gap meets
+    row = np.arange(pieces.sum()) + np.repeat(first - np.cumsum(pieces) + pieces, pieces)
+    start = np.maximum(np.repeat(gaps[:, 0], pieces), row * n)
+    end = np.minimum(np.repeat(gaps[:, 1], pieces), row * n + n)
+    table -= _gathered(strands.ravel(), start, end - start, start - row * n, len(counts), n)
 
 
 def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> AlignmentResult:
@@ -486,9 +501,9 @@ def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeP
     """align_and_count for fragments held as triplets into the strand matrix.
 
     Full fragments, Prefixes from column 1 and Suffixes to column n sit at
-    their own columns. Those not repeated by a neighbour are counted in place,
-    per block of `_BLOCK` // n strand rows, if they are ascending and disjoint
-    (as in break_strands' order) and cover `_IN_PLACE_SHARE` of the matrix.
+    their own columns. Those not repeated by a neighbour, if ascending and disjoint
+    (as in break_strands' order) and covering `_IN_PLACE_SHARE` of the matrix, are
+    counted as its column counts less the bases in the gaps between them.
     """
     offsets = fragments.strand.astype(np.intp) * strands.shape[1] + fragments.start - 1
     return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params, True)
@@ -556,14 +571,19 @@ class TraceStats:
     confusion: dict[str, dict[str, int]]
 
 
-def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
-    """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
-    gen = substream(seed, LANE_MESSAGE)
+def _drawable_radices(params: MarkerCodeParams) -> list[int]:
+    """The message radices; a ValueError names the first data column whose radix passes 2^63."""
     radices = message_radices(params)
     for j, radix in zip(layout(params).data_positions(), radices):
         if radix > 1 << 63:
             raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(radix)}")
-    return [int(gen.integers(0, radix)) for radix in radices]
+    return radices
+
+
+def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
+    """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
+    gen = substream(seed, LANE_MESSAGE)
+    return [int(gen.integers(0, radix)) for radix in _drawable_radices(params)]
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:

@@ -598,6 +598,18 @@ class TestResolutionLimits:
         with pytest.raises(ValueError, match=rf"radices <= 2\^63, but column {column} has radix {radix}$"):
             random_message(params, 1)
 
+    def test_config_rejects_a_radix_past_2_to_the_63(self, monkeypatch):
+        # q = 4, M = 2^31: M fits synthesis, but free-column radices C(M + 3, 3) pass 2^63.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=2**31), n=20, ell=2)
+        column, radix = layout(params).data_positions()[0], message_radices(params)[0]
+
+        def no_draw(*args):
+            raise AssertionError("a stream was opened before the config was rejected")
+
+        monkeypatch.setattr(channel, "substream", no_draw)
+        with pytest.raises(ValueError, match=rf"radices <= 2\^63, but column {column} has radix {radix}$"):
+            ChannelConfig(params, 10, ExactlyT(t=1), None, False, 1)
+
     def test_message_draw_takes_a_radix_of_2_to_the_63(self):
         # q = 2: a free column's radix is M + 1, a breaker's 1.
         params = MarkerCodeParams(alphabet=AlphabetParams(q=2, M=2**63 - 1), n=20, ell=2)

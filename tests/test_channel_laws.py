@@ -10,7 +10,9 @@ The laws:
 - synthesis: column j's bases are i.i.d. with law counts[:, j] / M, a
   zero-count base never appears, strands are independent, and so are two
   columns whose slots are digits of one 64-bit word;
-- PerBond(p): every bond breaks independently with probability p;
+- PerBond(p): every bond breaks independently with probability p, so a
+  fragment spans columns [a, b] with probability
+  (1 if a = 1, else p) (1 - p)^(b - a) (1 if b = n, else p);
 - ExactlyT and AtMostT: given a strand's break count c, its bonds are a
   uniform c-subset of the bond range;
 - AtMostT(t): the break count is uniform on 0..t;
@@ -43,7 +45,7 @@ from compodna import channel
 from compodna.channel import align_pool, break_strands
 
 FAMILY_ALPHA = 1e-4
-STATISTICS = 12  # every chi-square statistic computed in this file
+STATISTICS = 13  # every chi-square statistic computed in this file
 ALPHA = FAMILY_ALPHA / STATISTICS
 
 DNA = AlphabetParams(q=4, M=6)
@@ -184,6 +186,28 @@ class TestBreakLaws:
         statistic = float(((observed - s * p) ** 2 / (s * p * (1 - p))).sum())
         assert_fits(statistic, n - 1)
 
+    def test_per_bond_fragment_spans(self):
+        # Per strand, span indicators X_k, X_l have E[X_k X_l] = 0 for overlapping spans,
+        # law_k law_l / p for adjacent ones (they share the bond between them) and law_k law_l
+        # for the others (their bonds are disjoint). Fragments tile the strand, so a start at
+        # a > 1 is an end at a - 1: the covariance is singular, and the Pearson form of the
+        # span counts takes its pseudo-inverse, on as many df as its rank.
+        n, s, p = 40, 20_000, 0.05
+        pool = break_strands(n, PerBond(p=p), s, seed=2718)
+        a, b = np.triu_indices(n)  # 0-based first and last columns, a <= b
+        law = np.where(a == 0, 1, p) * (1 - p) ** (b - a) * np.where(b == n - 1, 1, p)
+        joint = np.outer(law, law)
+        joint[(a[:, None] <= b) & (a <= b[:, None])] = 0
+        joint[(b[:, None] + 1 == a) | (b + 1 == a[:, None])] /= p
+        values, vectors = np.linalg.eigh(joint + np.diag(law) - np.outer(law, law))
+        rank = values > 1e-9 * values.max()
+        observed = np.bincount((pool.start - 1) * n + pool.end - 1, minlength=n * n).reshape(n, n)[a, b]
+        assert observed.sum() == len(pool)
+        deviation = observed - s * law
+        assert np.abs(vectors[:, ~rank].T @ deviation).max() < 1e-6  # the tiling holds exactly
+        projected = vectors[:, rank].T @ deviation
+        assert_fits(float((projected**2 / values[rank]).sum()) / s, int(rank.sum()))
+
     @pytest.mark.parametrize(
         "n, model, seed",
         [
@@ -225,7 +249,7 @@ class TestPerBondFragmentLaws:
         params = MarkerCodeParams(alphabet=DNA, n=self.N, ell=self.ELL)
         strands = synthesize(construct_codeword(random_message(params, seed), params), self.S, seed)
         pool = break_strands(self.N, PerBond(p=self.P), self.S, seed)
-        counted, covered = channel._count_in_place, []
+        counted, covered = channel._count_by_columns, []
 
         def record(strands, edges, table):
             covered.append(int((edges[1::2] - edges[::2]).sum()))
@@ -233,7 +257,7 @@ class TestPerBondFragmentLaws:
 
         # Such a pool covers about 0.74 of the matrix, below the share cut: lift the cut.
         monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
-        monkeypatch.setattr(channel, "_count_in_place", record)
+        monkeypatch.setattr(channel, "_count_by_columns", record)
         aligned = align_pool(strands, pool, params)
         # Every usable fragment sits at its own columns: one in-place count reads it all.
         assert covered == [aligned.count_table.sum()]

@@ -119,9 +119,11 @@ class TestSplitInvariance:
         params = MarkerCodeParams(alphabet=DNA, n=n, ell=3)
         codeword = random_codeword(params, np.random.default_rng(seed % 1000))
         with pytest.MonkeyPatch.context() as patch:
-            # 1000 draws or bases a block: 600 strands cross synthesis blocks of 25 to 62
-            # rows, break blocks of 25 to 250 and in-place count blocks of 25 to 90; a
-            # share of 0 counts the pool in place whatever it covers.
+            # 1000 draws or bases a block. Synthesis blocks hold 1000 // W strands of
+            # W = ceil(n / 12) words: 250 to 500 from n = 13 on, so 600 strands cross them,
+            # while at n <= 12 one block holds them all. Break blocks hold 25 to 250 rows and
+            # column-count blocks 8000 // n = 200 to 727 (all 600 at n <= 13); the gaps' gather
+            # ends a block every 1000 bases. A share of 0 counts by columns whatever is covered.
             patch.setattr(channel, "_BLOCK", 1000)
             patch.setattr(channel, "_IN_PLACE_SHARE", 0)
             whole = synthesize(codeword, count, seed)
@@ -231,13 +233,13 @@ class TestInPlaceCountMatchesGather:
         shares = []  # the share rule in force at each in-place count
         results = []
         with pytest.MonkeyPatch.context() as patch:
-            counted = channel._count_in_place
+            counted = channel._count_by_columns
 
             def record(*args):
                 shares.append(channel._IN_PLACE_SHARE)
                 return counted(*args)
 
-            patch.setattr(channel, "_count_in_place", record)
+            patch.setattr(channel, "_count_by_columns", record)
             for share in (0, channel._IN_PLACE_SHARE, math.inf):
                 patch.setattr(channel, "_IN_PLACE_SHARE", share)
                 results.append(align_pool(strands, picked, params))
@@ -246,6 +248,64 @@ class TestInPlaceCountMatchesGather:
             assert (result.count_table == results[2].count_table).all()
             assert (result.classes == results[2].classes).all()
             assert result.tallies == results[2].tallies
+
+
+class TestColumnCountGaps:
+    """The column count less the gaps against the gather alone (share rule infinite), at every
+    block size: a gap from flat index 0, one to the matrix's end, gaps of whole rows, gaps
+    across row ends, a gap inside every row, and no gap."""
+
+    N, ROWS = 30, 12
+    # Break model, fragments left out as (strand, "all" | "head" | "tail"), and a check of
+    # the gaps (flat [start, end) ranges) for an n-column, r-row matrix.
+    TWO = ExactlyT(t=1, bond_range=(6, 24))  # a Prefix and a Suffix per strand
+    CASES = {
+        "no gap": (TWO, [], lambda gaps, n, r: gaps == []),
+        "from index 0": (ExactlyT(t=0), [(0, "all")], lambda gaps, n, r: gaps == [(0, n)]),
+        "to the end": (ExactlyT(t=0), [(ROWS - 1, "all")], lambda gaps, n, r: gaps == [((r - 1) * n, r * n)]),
+        "whole rows": (ExactlyT(t=0), [(3, "all"), (4, "all"), (5, "all")],
+                       lambda gaps, n, r: gaps == [(3 * n, 6 * n)]),
+        "across row ends": (
+            TWO,
+            [(0, "head"), (6, "tail"), (7, "all"), (8, "head"), (ROWS - 1, "tail")],
+            lambda gaps, n, r: len(gaps) == 3 and gaps[0][0] == 0 and gaps[2][1] == r * n
+            and 6 * n < gaps[1][0] < 7 * n and 8 * n < gaps[1][1] < 9 * n,
+        ),
+        "inside rows": (ExactlyT(t=2, bond_range=(6, 24)), [],
+                        lambda gaps, n, r: [a // n for a, _ in gaps] == list(range(r))
+                        and all(a // n == (b - 1) // n for a, b in gaps)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_gather(self, case, monkeypatch):
+        model, dropped, check = self.CASES[case]
+        params = MarkerCodeParams(alphabet=DNA, n=self.N, ell=3)
+        strands = synthesize(random_codeword(params, np.random.default_rng(4)), self.ROWS, 4)
+        pool = break_strands(self.N, model, self.ROWS, 4)
+        keep = np.ones(len(pool), dtype=bool)
+        for row, part in dropped:
+            keep &= ~((pool.strand == row) & {"all": True, "head": pool.start == 1, "tail": pool.end == self.N}[part])
+        pool = pool[keep]
+        counted, edges = channel._count_by_columns, []
+
+        def record(strands, ranges, table):
+            edges.append(ranges)
+            counted(strands, ranges, table)
+
+        monkeypatch.setattr(channel, "_count_by_columns", record)
+        for cap in TestBlockSizes.CAPS:
+            monkeypatch.setattr(channel, "_BLOCK", cap)
+            monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
+            by_columns = align_pool(strands, pool, params)
+            monkeypatch.setattr(channel, "_IN_PLACE_SHARE", math.inf)
+            gathered = align_pool(strands, pool, params)
+            assert (by_columns.count_table == gathered.count_table).all()
+            assert (by_columns.classes == gathered.classes).all()
+            assert by_columns.tallies == gathered.tallies
+        # One count by columns per block size, over the gaps the case means to make.
+        assert len(edges) == len(TestBlockSizes.CAPS)
+        bounds = np.concatenate(([0], edges[0], [strands.size])).reshape(-1, 2)
+        assert check([(int(a), int(b)) for a, b in bounds if a < b], self.N, self.ROWS)
 
 
 class TestFloydDraws:

@@ -22,6 +22,7 @@ from compodna import (
     optimal_marker_length,
     run_experiment,
 )
+from compodna import channel
 from compodna.cli import SIMULATE_CSV_HEADER, main
 from compodna.rll import SWEEP_CSV_HEADER
 
@@ -298,6 +299,26 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 1 and out == ""
         assert err == "error: synthesis draws base-M slots from 32 bits, so M must be <= 2^32, got M=8589934592\n"
+
+    def test_radix_past_two_to_the_63_fails_at_load(self, capsys, tmp_path, monkeypatch):
+        # q = 4, M = 2^31: M fits synthesis, but free-column radices C(M + 3, 3) pass 2^63.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=2**31), n=40, ell=3)
+        message = f"message draw needs radices <= 2^63, but column 6 has radix {message_radices(params)[0]}"
+        big = dict(BASE_CONFIG, code_params={"q": 4, "M": 2**31, "n": 40, "ell": 3})
+        drawn = channel.random_message
+
+        def draw(params, seed):
+            assert params.M == 6, "the config loaded and its message draw ran"
+            return drawn(params, seed)
+
+        monkeypatch.setattr(channel, "random_message", draw)
+        path = self._write_config(tmp_path, **big)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        path.write_text(json.dumps([big, BASE_CONFIG]))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1 and err == f"error: config 0: {message}\n"
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == [str(BASE_CONFIG["seed"])]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         path = self._write_config(tmp_path)
