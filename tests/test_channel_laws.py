@@ -255,7 +255,7 @@ class TestPerBondFragmentLaws:
             covered.append(int((edges[1::2] - edges[::2]).sum()))
             counted(strands, edges, table)
 
-        # Such a pool covers about 0.74 of the matrix, below the share cut: lift the cut.
+        # Such a pool covers about 0.71 of the matrix, near the share cut: lift the cut.
         monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
         monkeypatch.setattr(channel, "_count_by_columns", record)
         aligned = align_pool(strands, pool, params)

@@ -426,7 +426,7 @@ class TestBlockSizes:
                              ids=repr)
     def test_run_experiment(self, model, sample, monkeypatch):
         config = ChannelConfig(MarkerCodeParams(alphabet=DNA, n=30, ell=3), 150, model, sample, sample is not None, 5)
-        monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)  # these pools cover under 3/4: count in place anyway
+        monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)  # two pools cover under the cut: count by columns anyway
         results = []
         for cap in self.CAPS:
             monkeypatch.setattr(channel, "_BLOCK", cap)
