@@ -11,7 +11,8 @@ A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices plus one (strand, start, end) triplet per
 fragment (`FragmentPool`), strand-major. Stages work in blocks of about
 `_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop. A
-sample in pool order is mostly counted from the matrix's column counts (align_pool).
+pool-order sample whose fragments at their own columns cover `_IN_PLACE_SHARE`
+of the matrix is counted as its column counts less the gaps (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
