@@ -32,9 +32,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
+from .marker import FragmentClass, MarkerCodeParams, _first_data_radices, construct_codeword, layout, message_radices
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
-from .symbols import largest_remainder_apportion
+from .symbols import _apportion
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
 # and the message draw each get a disjoint key space.
@@ -201,7 +201,7 @@ class ChannelConfig:
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)
-        _drawable_radices(self.code_params)
+        _check_radices(self.code_params)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -251,7 +251,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
     width, big, slot = -(-n // k), np.uint64(m**k), np.min_scalar_type(m)
     limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
-    limits[:, :n] = np.cumsum(matrix.count_array(), axis=0)[:-1]
+    limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
     strands = np.empty((count, n), dtype=np.int16)
     words, step = substream(seed, LANE_SYNTH).bit_generator, max(1, _BLOCK // width)
     for lo in range(0, count, step):
@@ -518,21 +518,20 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     """Re-estimate the codeword from aligned base counts.
 
     Marker columns take their single value. Each data column apportions M
-    over its allowed bases in proportion to their empirical frequencies
-    (largest remainders), so a breaker column never weighs the marker base.
+    over its allowed bases in proportion to their counts (largest remainders,
+    exactly, ties to the lower base), so a breaker column never weighs the
+    marker base. All columns are apportioned in one pass over the table.
     """
-    q, m, n = params.q, params.M, params.n
-    if count_table.shape != (q, n):
-        raise ValueError(f"count table shape {count_table.shape} != ({q}, {n})")
+    q, n = params.q, params.n
+    if count_table.shape != (q, n) or count_table.dtype.kind not in "iu":
+        raise ValueError(f"count table must be a ({q}, {n}) integer array, got {count_table.dtype} {count_table.shape}")
     lay = layout(params)
-    freqs = count_table.astype(float).T.tolist()
-    cols = {j: lay.column(j, (m,)) for j in lay.marker_positions}
-    for j in lay.data_positions():
-        weights = [freqs[j - 1][b] for b in lay.bases[j - 1]]
-        if sum(weights) <= 0:
-            raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
-        cols[j] = lay.column(j, largest_remainder_apportion(weights, m))
-    return CompositeMatrix(columns=tuple(cols[j] for j in range(1, n + 1)), params=params.alphabet)
+    weights = np.where(lay.allowed, np.where(lay.fixed, 1, count_table), 0)
+    bare = np.flatnonzero(weights.sum(axis=0) == 0)
+    if len(bare):
+        j = bare[0] + 1
+        raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
+    return CompositeMatrix(_apportion(weights, params.M), params.alphabet)
 
 
 @dataclass(frozen=True)
@@ -572,19 +571,18 @@ class TraceStats:
     confusion: dict[str, dict[str, int]]
 
 
-def _drawable_radices(params: MarkerCodeParams) -> list[int]:
-    """The message radices; a ValueError names the first data column whose radix passes 2^63."""
-    radices = message_radices(params)
-    for j, radix in zip(layout(params).data_positions(), radices):
+def _check_radices(params: MarkerCodeParams) -> None:
+    """A ValueError names the first data column whose radix passes 2^63; the layout is not built."""
+    for j, radix in _first_data_radices(params):
         if radix > 1 << 63:
             raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(radix)}")
-    return radices
 
 
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
+    _check_radices(params)
     gen = substream(seed, LANE_MESSAGE)
-    return [int(gen.integers(0, radix)) for radix in _drawable_radices(params)]
+    return [int(gen.integers(0, radix)) for radix in message_radices(params)]
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:
@@ -625,9 +623,8 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
         picked = picked[np.argsort(picked.strand.astype(np.intp) * params.n + picked.start)]  # in pool order
     aligned = align_pool(strands, picked, params)
     estimated = estimate_matrix(aligned.count_table, params)
-    errors = int((estimated.count_array() != codeword.count_array()).any(axis=0).sum())
-    data_cols = [j - 1 for j in layout(params).data_positions()]
-    coverage = aligned.count_table.sum(axis=0)[data_cols]
+    errors = int((estimated.counts != codeword.counts).any(axis=0).sum())
+    coverage = aligned.count_table.sum(axis=0)[~layout(params).fixed]
     report = ExperimentReport(
         fragments_sampled=k,
         discarded_fraction=aligned.tallies[FragmentClass.DISCARD] / k,

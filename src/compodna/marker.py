@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .symbols import (
     AlphabetParams,
     CompositeMatrix,
-    CompositeSymbol,
+    _count_dtype,
     _unrank_composition,
     _rank_composition,
     alphabet_size,
@@ -116,12 +118,15 @@ class LayoutMap:
         """Breaker and free columns in ascending column order."""
         return self._positions("breaker", "free")
 
-    def column(self, j: int, weights: Sequence[int]) -> CompositeSymbol:
-        """Column j's symbol with `weights` on its allowed bases, zero elsewhere."""
-        counts = [0] * self.alphabet.q
-        for base, weight in zip(self.bases[j - 1], weights):
-            counts[base] = weight
-        return CompositeSymbol(tuple(counts))
+    @functools.cached_property
+    def allowed(self) -> np.ndarray:
+        """(q, n) mask of the bases each column may weigh."""
+        return np.array([[b in bases for bases in self.bases] for b in range(self.alphabet.q)])
+
+    @functools.cached_property
+    def fixed(self) -> np.ndarray:
+        """(n,) mask of the anchor and marker columns, whose one value is full weight on their base."""
+        return np.array([role in ("anchor", "marker") for role in self.roles])
 
 
 # Every encode, check, decode and estimate asks for the layout, which depends
@@ -141,13 +146,32 @@ def layout(params: MarkerCodeParams) -> LayoutMap:
         "breaker": tuple(b for b in range(q) if b != params.marker_base - 1),
         "free": tuple(range(q)),
     }
-    radix = {role: math.comb(params.M + len(bases) - 1, len(bases) - 1) for role, bases in allowed.items()}
+    radix = {role: _radix(params.M, len(bases)) for role, bases in allowed.items()}
     block = ["anchor" if base == params.anchor_base else "marker" for base in params.marker_pattern()]
-    data = ["breaker" if (j + 2) % ell == 0 else "free" for j in range(span + 1, params.n - span + 1)]
+    data = [_data_role(j, ell) for j in range(span + 1, params.n - span + 1)]
     roles = tuple(block + data + block)
     return LayoutMap(
         params.alphabet, roles, tuple(map(allowed.__getitem__, roles)), tuple(map(radix.__getitem__, roles))
     )
+
+
+def _data_role(j: int, ell: int) -> str:
+    return "breaker" if (j + 2) % ell == 0 else "free"
+
+
+def _radix(m: int, k: int) -> int:
+    """Values of a column weighing k bases: C(M + k - 1, k - 1)."""
+    return math.comb(m + k - 1, k - 1)
+
+
+def _first_data_radices(params: MarkerCodeParams) -> list[tuple[int, int]]:
+    """(column, radix) of the first data column of each role, in column order, in O(ell) time
+    and memory at any n and q: roles repeat every ell data columns, and a breaker weighs q - 1
+    bases, a free column q."""
+    span, first = params.ell + 2, {}
+    for j in range(span + 1, min(params.n - span, span + params.ell) + 1):
+        first.setdefault(_data_role(j, params.ell), j)
+    return [(j, _radix(params.M, params.q - (role == "breaker"))) for role, j in first.items()]
 
 
 def message_radices(params: MarkerCodeParams) -> list[int]:
@@ -174,11 +198,10 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
             raise ValueError(f"message symbol {sym} at column {j} outside radix [0, {radix})")
         symbols[j - 1] = sym
     m = params.M
-    columns = tuple(
-        lay.column(j, _unrank_composition(sym, len(bases), m))
-        for j, (sym, bases) in enumerate(zip(symbols, lay.bases), start=1)
-    )
-    return CompositeMatrix(columns=columns, params=params.alphabet)
+    counts = np.zeros((params.q, params.n), dtype=_count_dtype(m))
+    # The transposed mask lists every column's allowed bases in order, column by column.
+    counts.T[lay.allowed.T] = [c for s, bases in zip(symbols, lay.bases) for c in _unrank_composition(s, len(bases), m)]
+    return CompositeMatrix(counts, params.alphabet)
 
 
 @dataclass(frozen=True)
@@ -218,12 +241,9 @@ def is_valid_codeword(matrix: CompositeMatrix, params: MarkerCodeParams) -> Code
         return CodewordCheck(ok=False, violations=(violation,))
     # A column's counts sum to M, so all of M on its allowed bases means no
     # weight anywhere else; a column that may weigh every base always has it.
-    lay, m = layout(params), params.M
-    violations = tuple(
-        f"column {j}: {_VIOLATIONS[role]}"
-        for j, (col, role, bases) in enumerate(zip(matrix.columns, lay.roles, lay.bases), start=1)
-        if sum([col.counts[b] for b in bases]) != m
-    )
+    lay = layout(params)
+    short = np.flatnonzero(np.where(lay.allowed, matrix.counts, 0).sum(axis=0) != params.M)
+    violations = tuple(f"column {j + 1}: {_VIOLATIONS[lay.roles[j]]}" for j in short)
     return CodewordCheck(ok=not violations, violations=violations)
 
 
@@ -232,11 +252,8 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     check = is_valid_codeword(codeword, params)
     if not check:
         raise InvalidCodewordError("; ".join(check.violations))
-    lay = layout(params)
-    return [
-        _rank_composition([codeword.columns[j - 1].counts[b] for b in lay.bases[j - 1]])
-        for j in lay.data_positions()
-    ]
+    lay, columns = layout(params), codeword.counts.T.tolist()
+    return [_rank_composition([columns[j - 1][b] for b in lay.bases[j - 1]]) for j in lay.data_positions()]
 
 
 def _breaker_cost(alphabet: AlphabetParams) -> float:

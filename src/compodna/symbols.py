@@ -2,11 +2,14 @@
 
 A composite symbol over a base alphabet of size q with resolution M is a
 q-tuple of nonnegative integer counts summing to M: the mixture ratio of
-bases synthesized at one strand position. A composite matrix is a sequence
-of n such columns and is the codeword object everything else works on.
+bases synthesized at one strand position. A composite matrix holds n such
+columns as one read-only (q, n) count array, int64 below M = 2^63 and Python
+ints above, and is the codeword object everything else works on.
 
 Counts stay exact integers, and all combinatorial sizes use
-arbitrary-precision integers.
+arbitrary-precision integers. Rounding frequencies to M units is the
+largest-remainder (Hamilton) method in integer arithmetic, every column of a
+count table in one pass: ties go to the lowest base index.
 
 Base indices are 1-based throughout the public API (base 1 = "A" for DNA),
 matching the column conventions of the marker construction.
@@ -14,8 +17,10 @@ matching the column conventions of the marker construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +51,7 @@ class CompositeSymbol:
         if not self.counts:
             raise ValueError("composite symbol must have at least one count")
         for c in self.counts:
-            if not isinstance(c, int) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {self.counts}")
 
     @property
@@ -64,44 +69,80 @@ class CompositeSymbol:
             raise ValueError(f"counts sum to {self.resolution}, expected M={params.M}")
 
 
-@dataclass(frozen=True)
-class CompositeMatrix:
-    """A q x n composite matrix: n columns, each a valid composite symbol."""
+def _count_dtype(m: int) -> type:
+    """The count dtype of a composite matrix at resolution m: int64 below 2^63, Python ints above."""
+    return np.int64 if m < 1 << 63 else object
 
-    columns: tuple[CompositeSymbol, ...]
+
+@dataclass(frozen=True, eq=False)
+class CompositeMatrix:
+    """A q x n composite matrix, held as one read-only (q, n) count array.
+
+    Row i - 1 of `counts` is base i, and every column is a composite symbol:
+    nonnegative counts summing to M. The counts given are copied to
+    _count_dtype(M). Any but an int64 array is read entry by entry as Python
+    integers, and a bool is not one.
+    """
+
+    counts: np.ndarray
     params: AlphabetParams
 
     def __post_init__(self) -> None:
-        if not self.columns:
-            raise ValueError("composite matrix needs at least one column")
-        for j, col in enumerate(self.columns, start=1):
-            try:
-                col.validate(self.params)
-            except ValueError as exc:
-                raise ValueError(f"column {j}: {exc}") from exc
+        q, m = self.params.q, self.params.M
+        counts = self.counts if isinstance(self.counts, np.ndarray) else np.array(self.counts, dtype=object)
+        if counts.dtype != np.int64:
+            entries = counts.ravel().tolist()
+            for c in entries:
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                    raise ValueError(f"counts must be integers, got {brief(c)}")
+            counts = np.array([int(c) for c in entries], dtype=object).reshape(counts.shape)
+        if counts.ndim != 2 or len(counts) != q or counts.shape[1] < 1:
+            raise ValueError(f"composite matrix needs a ({q}, n) count array with n >= 1, got shape {counts.shape}")
+        # Counts in [0, M] sum exactly in int64 while q * M < 2^63; a column outside that range is bad anyway.
+        negative = (counts < 0).any(axis=0)
+        exact = np.int64 if counts.dtype == np.int64 and q * m < 1 << 63 else object
+        bad = np.flatnonzero(negative | (counts > m).any(axis=0) | (counts.sum(axis=0, dtype=exact) != m))
+        if len(bad):
+            j, column = bad[0] + 1, counts[:, bad[0]].tolist()
+            if negative[j - 1]:
+                raise ValueError(f"column {j}: counts must be nonnegative integers, got {brief_json(column)}")
+            raise ValueError(f"column {j}: counts sum to {brief(sum(column))}, expected M={brief(m)}")
+        counts = counts.astype(_count_dtype(m))
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
-        return len(self.columns)
+        return self.counts.shape[1]
 
-    def count_array(self):
-        """Counts as a (q, n) numpy int array (row i-1 = base i)."""
-        return np.array([c.counts for c in self.columns], dtype=np.int64).T
+    @functools.cached_property
+    def columns(self) -> tuple[CompositeSymbol, ...]:
+        """The columns as composite symbols, built on first use."""
+        return tuple(CompositeSymbol(tuple(col)) for col in self.counts.T.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompositeMatrix):
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self.counts, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.columns, self.params))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"q": self.params.q, "M": self.params.M, "columns": [list(c.counts) for c in self.columns]}
-        )
+        return json.dumps({"q": self.params.q, "M": self.params.M, "columns": self.counts.T.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "CompositeMatrix":
         """Parse to_json's format; q, M and every count must be JSON integers."""
         obj = json_fields(json.loads(text), _MATRIX_FIELDS, "matrix")
+        params = AlphabetParams(q=obj["q"], M=obj["M"])
         cols = []
         for j, col in enumerate(obj["columns"], start=1):
-            counts = enumerate(json_value(col, "array", f"column {j}"), start=1)
-            cols.append(CompositeSymbol(tuple(json_value(x, "integer", f"column {j} entry {i}") for i, x in counts)))
-        return cls(columns=tuple(cols), params=AlphabetParams(q=obj["q"], M=obj["M"]))
+            entries = enumerate(json_value(col, "array", f"column {j}"), start=1)
+            cols.append([json_value(x, "integer", f"column {j} entry {i}") for i, x in entries])
+            if len(cols[-1]) != params.q:
+                raise ValueError(f"column {j}: symbol has {len(cols[-1])} counts, alphabet has q={params.q}")
+        return cls(np.array(cols, dtype=object).reshape(-1, params.q).T, params)
 
 
 # The one reader of JSON input. A kind is a JSON value type; a bool is never
@@ -257,21 +298,34 @@ def unrank_symbol(index: int, params: AlphabetParams) -> CompositeSymbol:
     return CompositeSymbol(_unrank_composition(index, params.q, params.M))
 
 
+def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
+    """Largest remainders, exactly, down every column of a (q, n) table of nonnegative integers.
+
+    A column of sum w > 0 gets the floors x * total // w, plus a unit at each of
+    its total - sum(floors) largest remainders x * total % w, ties to the lowest
+    row; a zero weight never gets one. Products are int64 where they fit.
+    """
+    sums = weights.sum(axis=0)
+    exact = np.int64 if int(sums.max()) * max(total, 1) < 1 << 63 else object
+    scaled, sums = weights.astype(exact) * total, sums.astype(exact)
+    floors = scaled // sums
+    # A row's rank in its column: the rows ahead of it, by larger remainder, then lower row.
+    rems, lower = scaled - floors * sums, np.tri(len(weights), k=-1, dtype=bool)[:, :, None]
+    ranks = ((rems[None] > rems[:, None]) | (rems[None] == rems[:, None]) & lower).sum(axis=1)
+    return floors + (ranks < total - floors.sum(axis=0))
+
+
 def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int]:
     """Round nonnegative reals to integers summing to `total`.
 
     Scales to the target sum, takes floors, then hands the leftover units to
     the largest fractional parts; ties go to the lowest index. Minimizes the
     L1 distance to the scaled input among integer vectors with that sum.
+    Exact: floats are read at their binary value, over a common denominator.
     """
-    weight = float(sum(values))
-    if weight <= 0.0:
-        raise ValueError("values must have positive sum")
-    scaled = [v / weight * total for v in values]
-    floors = [math.floor(s) for s in scaled]
-    leftover = total - sum(floors)
-    order = sorted(range(len(values)), key=lambda i: (floors[i] - scaled[i], i))
-    out = list(floors)
-    for i in order[:leftover]:
-        out[i] += 1
-    return out
+    ratios = [(v if isinstance(v, float) else operator.index(v)).as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    weights = np.array([[p * (scale // d)] for p, d in ratios], dtype=object)
+    if (weights < 0).any() or not weights.sum() > 0:
+        raise ValueError("values must be nonnegative with a positive sum")
+    return _apportion(weights, total)[:, 0].tolist()

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from compodna import (
     AlphabetParams,
@@ -33,7 +34,7 @@ from compodna import (
     substream,
     synthesize,
 )
-from compodna import channel
+from compodna import channel, marker
 from compodna.channel import LANE_BREAK, LANE_SAMPLE, LANE_SYNTH, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
@@ -59,17 +60,13 @@ def make_config(n=60, ell=3, strand_count=500, break_model=None, sample_size=Non
 
 class TestSynthesize:
     def test_deterministic_column_always_same_base(self):
-        matrix = CompositeMatrix(
-            columns=(CompositeSymbol((0, 6, 0, 0)), CompositeSymbol((2, 2, 1, 1))), params=DNA
-        )
+        matrix = CompositeMatrix(np.transpose([(0, 6, 0, 0), (2, 2, 1, 1)]), DNA)
         strands = synthesize(matrix, 300, seed=4)
         assert (strands[:, 0] == 2).all()
 
     def test_uniform_column_frequencies_within_3_sigma(self):
         uniform = AlphabetParams(q=4, M=4)
-        matrix = CompositeMatrix(
-            columns=(CompositeSymbol((1, 1, 1, 1)), CompositeSymbol((4, 0, 0, 0))), params=uniform
-        )
+        matrix = CompositeMatrix(np.transpose([(1, 1, 1, 1), (4, 0, 0, 0)]), uniform)
         s = 100_000
         strands = synthesize(matrix, s, seed=11)
         sigma = math.sqrt(0.25 * 0.75 / s)
@@ -124,26 +121,24 @@ class TestZeroWeightBases:
     def _assert_no_zero_count_draws(self, matrix, monkeypatch):
         monkeypatch.setattr(channel, "substream", lambda *args: _ConstantWordGenerator())
         strands = synthesize(matrix, 3, seed=0)
-        counts = matrix.count_array()
+        counts = matrix.counts
         drawn = counts[strands - 1, np.arange(matrix.n)]
         assert (drawn > 0).all()
 
     def test_bare_matrix(self, monkeypatch):
-        matrix = CompositeMatrix(columns=(self.SYMBOL,) * 3, params=DNA)
+        matrix = CompositeMatrix(np.transpose([self.SYMBOL.counts] * 3), DNA)
         self._assert_no_zero_count_draws(matrix, monkeypatch)
 
     def test_trailing_zero_count_bases(self, monkeypatch):
         # The last two bases weigh nothing, or the first two and the last:
         # the top slot must skip two empty bases at the end, or one at the end
         # after two empty ones at the start.
-        columns = (CompositeSymbol((2, 4, 0, 0)), CompositeSymbol((0, 0, 6, 0)), CompositeSymbol((3, 0, 3, 0)))
-        matrix = CompositeMatrix(columns=columns, params=DNA)
+        matrix = CompositeMatrix(np.transpose([(2, 4, 0, 0), (0, 0, 6, 0), (3, 0, 3, 0)]), DNA)
         self._assert_no_zero_count_draws(matrix, monkeypatch)
 
     def test_bottom_slot_skips_leading_zero_count_bases(self, monkeypatch):
         # An all-zeros word gives every slot 0, which draws the first base that owns one.
-        columns = (CompositeSymbol((0, 4, 2, 0)), CompositeSymbol((0, 0, 0, 6)), CompositeSymbol((1, 0, 5, 0)))
-        matrix = CompositeMatrix(columns=columns, params=DNA)
+        matrix = CompositeMatrix(np.transpose([(0, 4, 2, 0), (0, 0, 0, 6), (1, 0, 5, 0)]), DNA)
         monkeypatch.setattr(channel, "substream", lambda *args: _ConstantWordGenerator(0))
         assert (synthesize(matrix, 3, seed=0) == [2, 4, 1]).all()
 
@@ -297,7 +292,62 @@ class TestAlignAndCount:
         assert result.count_table.sum() == 0
 
 
+def float_estimate(count_table, params):
+    """estimate_matrix's counts by float scaling, v / w * M, one column at a time: the
+    reference wherever no exact tie makes the floats' rounding decide."""
+    lay, m = layout(params), params.M
+    out = np.zeros((params.q, params.n), dtype=np.int64)
+    for j, (role, bases) in enumerate(zip(lay.roles, lay.bases)):
+        weights = [float(count_table[b, j]) for b in bases]
+        if role in ("anchor", "marker"):
+            weights = [1.0]
+        scaled = [v / sum(weights) * m for v in weights]
+        floors = [math.floor(v) for v in scaled]
+        for i in sorted(range(len(bases)), key=lambda i: (floors[i] - scaled[i], i))[: m - sum(floors)]:
+            floors[i] += 1
+        out[list(bases), j] = floors
+    return out
+
+
+def exact_tie_columns(count_table, params):
+    """0-based data columns where two allowed bases share a nonzero remainder x * M mod w."""
+    lay = layout(params)
+    tied = set()
+    for j in lay.data_positions():
+        x = [int(count_table[b, j - 1]) for b in lay.bases[j - 1]]
+        remainders = [v * params.M % sum(x) for v in x if v * params.M % sum(x)]
+        if len(set(remainders)) < len(remainders):
+            tied.add(j - 1)
+    return tied
+
+
 class TestEstimateMatrix:
+    @given(data=st.data(), q=st.integers(2, 4), m=st.integers(1, 12), ell=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_float_estimate_where_no_exact_tie(self, data, q, m, ell):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=2 * (ell + 2) + 8, ell=ell)
+        cells = st.integers(0, 40) | st.integers(0, 10**6)
+        table = np.array(data.draw(st.lists(cells, min_size=q * params.n, max_size=q * params.n)))
+        table = table.reshape(q, params.n)
+        lay = layout(params)
+        assume(all(table[list(lay.bases[j - 1]), j - 1].sum() > 0 for j in lay.data_positions()))
+        estimate = np.transpose([col.counts for col in estimate_matrix(table, params).columns])
+        differ = set(np.flatnonzero((estimate != float_estimate(table, params)).any(axis=0)).tolist())
+        assert differ <= exact_tie_columns(table, params)
+
+    def test_exact_ties_go_to_the_lower_base(self):
+        # Free column 15 weighs (1, 1, 0, 7) of 9: remainders 6, 6, 0, 6 share the two leftover units.
+        params = MarkerCodeParams(alphabet=DNA, n=20, ell=2)
+        table = np.ones((4, 20), dtype=np.int64)
+        table[:, 14] = (1, 1, 0, 7)
+        assert estimate_matrix(table, params).columns[14].counts == (1, 1, 0, 4)
+
+    @pytest.mark.parametrize("table", [np.ones((4, 30)), np.ones((4, 29), dtype=np.int64)], ids=["float", "shape"])
+    def test_rejects_a_table_that_is_not_integer_counts(self, table):
+        # Integer apportionment would truncate float weights.
+        with pytest.raises(ValueError, match=r"count table must be a \(4, 30\) integer array"):
+            estimate_matrix(table, MarkerCodeParams(alphabet=DNA, n=30, ell=3))
+
     def test_noiseless_high_coverage_recovers_exactly(self):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         cw = make_codeword(params, seed=13)
@@ -448,7 +498,7 @@ class TestPipelineContract:
 
         report = run_experiment(config)
         assert report.estimated_matrix == estimate
-        errors = int((estimate.count_array() != codeword.count_array()).any(axis=0).sum())
+        errors = int((estimate.counts != codeword.counts).any(axis=0).sum())
         coverage = aligned.count_table.sum(axis=0)[[j - 1 for j in layout(params).data_positions()]]
         assert report.fragments_sampled == 700
         assert report.discarded_fraction == aligned.tallies[FragmentClass.DISCARD] / 700
@@ -590,7 +640,7 @@ class TestResolutionLimits:
 
         monkeypatch.setattr(channel, "substream", no_draw)
         with pytest.raises(ValueError, match=message):
-            synthesize(CompositeMatrix(columns=(CompositeSymbol((m, 0)),) * 3, params=alphabet), 5, seed=1)
+            synthesize(CompositeMatrix(np.transpose([(m, 0)] * 3), alphabet), 5, seed=1)
 
     def test_message_draw_names_a_radix_past_2_to_the_63(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=2**31), n=20, ell=2)
@@ -609,6 +659,23 @@ class TestResolutionLimits:
         monkeypatch.setattr(channel, "substream", no_draw)
         with pytest.raises(ValueError, match=rf"radices <= 2\^63, but column {column} has radix {radix}$"):
             ChannelConfig(params, 10, ExactlyT(t=1), None, False, 1)
+
+    @pytest.mark.parametrize("q, m, n, error", [(4, 6, 10**30, None), (10**9, 1, 40, None), (10**30, 1, 40, "column 6")],
+                             ids=["n=10^30", "q=10^9", "q=10^30"])
+    def test_config_load_does_not_build_the_layout(self, monkeypatch, q, m, n, error):
+        # Any n and q load, or fail on a radix, without an O(n) or O(q) layout.
+        def no_layout(*args):
+            raise AssertionError("the config built the layout")
+
+        for module in (channel, marker):
+            monkeypatch.setattr(module, "layout", no_layout)
+        monkeypatch.setattr(channel, "message_radices", no_layout)
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=n, ell=3)
+        if error is None:
+            ChannelConfig(params, 10, ExactlyT(t=1, bond_range=(5, 15)), None, False, 1)
+        else:
+            with pytest.raises(ValueError, match=f"{error} has radix {q}$"):
+                ChannelConfig(params, 10, ExactlyT(t=1, bond_range=(5, 15)), None, False, 1)
 
     def test_message_draw_takes_a_radix_of_2_to_the_63(self):
         # q = 2: a free column's radix is M + 1, a breaker's 1.

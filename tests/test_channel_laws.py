@@ -31,7 +31,6 @@ from compodna import (
     AlphabetParams,
     AtMostT,
     CompositeMatrix,
-    CompositeSymbol,
     ExactlyT,
     FragmentClass,
     MarkerCodeParams,
@@ -114,8 +113,8 @@ class TestSynthesisLaw:
     COLUMNS = ((2, 0, 3, 1), (0, 2, 2, 2), (1, 4, 1, 0), (0, 0, 0, 6), (3, 3, 0, 0), (2, 1, 2, 1), (1, 1, 1, 3))
 
     def _strands(self, count, seed):
-        matrix = CompositeMatrix(columns=tuple(CompositeSymbol(c) for c in self.COLUMNS), params=DNA)
-        return synthesize(matrix, count, seed), matrix.count_array()
+        matrix = CompositeMatrix(np.transpose(self.COLUMNS), DNA)
+        return synthesize(matrix, count, seed), matrix.counts
 
     def test_columns_follow_their_counts(self):
         s = 40_000

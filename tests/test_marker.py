@@ -1,6 +1,7 @@
 """Marker code construction, validation, optima, and fragment classification."""
 
 import itertools
+import json
 import math
 import random
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from compodna import (
     AlphabetParams,
     CompositeMatrix,
-    CompositeSymbol,
     FragmentClass,
     InvalidCodewordError,
     MarkerCodeParams,
@@ -31,6 +31,7 @@ from compodna import (
     restricted_symbol_count,
     synthesize,
 )
+from compodna.marker import _first_data_radices
 
 DNA = AlphabetParams(q=4, M=6)
 LAMBDA_DNA = math.log(3) / math.log(84)  # log_Q(Q/(Q-R)) at (q=4, M=6)
@@ -170,7 +171,15 @@ class TestConstruct:
         params, message = pm
         cw = construct_codeword(message, params)
         for k in (1, 7):
-            assert estimate_matrix(k * cw.count_array(), params) == cw
+            assert estimate_matrix(k * cw.counts, params) == cw
+
+    @given(params_and_message())
+    def test_first_data_radices_match_the_layout(self, pm):
+        params, _ = pm
+        lay, first = layout(params), {}
+        for j in lay.data_positions():
+            first.setdefault(lay.roles[j - 1], (j, lay.radices[j - 1]))
+        assert _first_data_radices(params) == sorted(first.values())
 
     def test_exhaustive_roundtrip_over_small_message_space(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=3, M=2), n=13, ell=2)
@@ -185,6 +194,29 @@ class TestConstruct:
         assert len(seen) == math.prod(radices)  # encoding is injective
 
 
+class TestHugeResolution:
+    """Codewords on both sides of M = 2^63, where counts leave int64 for Python ints."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("m", [2**63 - 1, 2**63, 10**30])
+    def test_codeword_round_trip(self, q, m):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=20, ell=3)
+        radices = message_radices(params)
+        rng = random.Random(m)
+        for message in ([r - 1 for r in radices], [rng.randrange(r) for r in radices]):
+            cw = construct_codeword(message, params)
+            assert is_valid_codeword(cw, params)
+            text = cw.to_json()
+            again = CompositeMatrix.from_json(text)
+            assert again == cw and again.to_json() == text
+            assert decode_matrix(again, params) == message
+        tampered = json.loads(text)
+        tampered["columns"][1] = [1, m - 1] + [0] * (q - 2)  # marker interior column 2
+        bad = CompositeMatrix.from_json(json.dumps(tampered))
+        with pytest.raises(InvalidCodewordError, match="^column 2: marker column mismatch"):
+            decode_matrix(bad, params)
+
+
 class TestValidation:
     def _codeword(self, params, seed=0):
         rng = random.Random(seed)
@@ -196,8 +228,7 @@ class TestValidation:
 
     def test_uniform_matrix_invalid(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=4), n=30, ell=3)
-        uniform = CompositeSymbol((1, 1, 1, 1))
-        matrix = CompositeMatrix(columns=(uniform,) * 30, params=params.alphabet)
+        matrix = CompositeMatrix(np.ones((4, 30), dtype=np.int64), params.alphabet)
         check = is_valid_codeword(matrix, params)
         assert not check
         assert any("column 1" in v for v in check.violations)
@@ -205,9 +236,9 @@ class TestValidation:
     def test_tampered_marker_column_names_column(self):
         params = marker_params(n=30, ell=3)
         cw = self._codeword(params)
-        cols = list(cw.columns)
-        cols[1] = CompositeSymbol((0, 6, 0, 0))  # marker interior column 2 overwritten
-        bad = CompositeMatrix(columns=tuple(cols), params=params.alphabet)
+        counts = cw.counts.copy()
+        counts[:, 1] = (0, 6, 0, 0)  # marker interior column 2 overwritten
+        bad = CompositeMatrix(counts, params.alphabet)
         with pytest.raises(InvalidCodewordError, match="column 2"):
             decode_matrix(bad, params)
 
@@ -215,9 +246,9 @@ class TestValidation:
         params = marker_params(n=30, ell=3)
         cw = self._codeword(params)
         j = min(layout(params).breaker_positions)
-        cols = list(cw.columns)
-        cols[j - 1] = CompositeSymbol((6, 0, 0, 0))  # full weight on the marker base
-        bad = CompositeMatrix(columns=tuple(cols), params=params.alphabet)
+        counts = cw.counts.copy()
+        counts[:, j - 1] = (6, 0, 0, 0)  # full weight on the marker base
+        bad = CompositeMatrix(counts, params.alphabet)
         check = is_valid_codeword(bad, params)
         assert not check
         assert any("condition 3" in v and f"column {j}" in v for v in check.violations)

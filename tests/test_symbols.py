@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +36,16 @@ def brute_min_l1(freqs, q: int, M: int) -> float:
         sum(abs(c / M - t) for c, t in zip(cand, target))
         for cand in brute_symbols(q, M)
     )
+
+
+def fraction_apportion(values, total: int) -> list[int]:
+    """Largest remainders over exact rationals, ties to the lowest index: the oracle."""
+    exact = [Fraction(v) for v in values]
+    scaled = [x * total / sum(exact) for x in exact]
+    out = [math.floor(s) for s in scaled]
+    for i in sorted(range(len(out)), key=lambda i: (out[i] - scaled[i], i))[: total - sum(out)]:
+        out[i] += 1
+    return out
 
 
 class TestAlphabetSize:
@@ -172,6 +185,24 @@ class TestQuantize:
         # brute-force L1 minimization over all 20 symbols of q=4, M=3 picks (1, 1, 1, 0)
         assert largest_remainder_apportion((0.34, 0.33, 0.33, 0.0), 3) == [1, 1, 1, 0]
 
+    @pytest.mark.parametrize("values, want", [([6, 1, 3], [4, 0, 2]), ((1, 1, 7), [1, 1, 4])])
+    def test_exact_ties_go_to_lowest_index(self, values, want):
+        # Scaled through floats, the tied fractional parts (3/5 twice, 2/3 three times) differ.
+        assert largest_remainder_apportion(values, 6) == want
+
+    @pytest.mark.parametrize("values, total", [([1, 1, 1], 10**18), ([1, 2], 2**60 + 1)])
+    def test_sum_holds_at_large_totals(self, values, total):
+        counts = largest_remainder_apportion(values, total)
+        assert sum(counts) == total and counts == fraction_apportion(values, total)
+
+    @given(
+        values=st.lists(st.integers(0, 10**20) | st.floats(0, 1e6), min_size=1, max_size=6).filter(any),
+        total=st.integers(0, 12) | st.integers(0, 10**30),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_fraction_oracle(self, values, total):
+        assert largest_remainder_apportion(values, total) == fraction_apportion(values, total)
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             largest_remainder_apportion((0.0, 0.0, 0.0, 0.0), 6)
@@ -210,7 +241,7 @@ class TestMatrixSerialization:
         cols = tuple(
             unrank_symbol(data.draw(st.integers(0, size - 1)), params) for _ in range(n)
         )
-        return CompositeMatrix(columns=cols, params=params)
+        return CompositeMatrix(np.transpose([col.counts for col in cols]), params)
 
     @given(q=st.integers(2, 4), M=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
     def test_json_roundtrip_bit_exact(self, q, M, n, data):
@@ -240,15 +271,53 @@ class TestMatrixSerialization:
 
     def test_json_shape(self):
         params = AlphabetParams(q=2, M=2)
-        matrix = CompositeMatrix(
-            columns=(CompositeSymbol((1, 1)), CompositeSymbol((0, 2))), params=params
-        )
+        matrix = CompositeMatrix(np.transpose([(1, 1), (0, 2)]), params)
         assert matrix.to_json() == '{"q": 2, "M": 2, "columns": [[1, 1], [0, 2]]}'
 
     def test_invalid_column_rejected(self):
         params = AlphabetParams(q=2, M=2)
         with pytest.raises(ValueError, match="column 2"):
-            CompositeMatrix(columns=(CompositeSymbol((1, 1)), CompositeSymbol((1, 2))), params=params)
+            CompositeMatrix(np.transpose([(1, 1), (1, 2)]), params)
+
+
+class TestCountArray:
+    """CompositeMatrix's one (q, n) count array and its checks."""
+
+    def test_bool_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            CompositeSymbol((True, 5))
+        params = AlphabetParams(q=2, M=6)
+        for counts in ([[True], [5]], np.array([[True], [False]]), np.array([[1], [True]], dtype=object)):
+            with pytest.raises(ValueError, match="counts must be integers, got True"):
+                CompositeMatrix(counts, params)
+
+    @pytest.mark.parametrize(
+        "counts, where",
+        [
+            (np.array([[6, -1], [0, 7]]), r"column 2: counts must be nonnegative integers, got \[-1, 7\]"),
+            (np.array([[6, 2], [0, 5]]), "column 2: counts sum to 7, expected M=6"),
+            ([[6, 2**64], [0, 6]], "column 2: counts sum to"),
+            (np.array([[1.0], [5.0]]), "counts must be integers, got 1.0"),
+            (np.zeros((3, 2), dtype=np.int64), r"needs a \(2, n\) count array with n >= 1, got shape \(3, 2\)"),
+            (np.zeros((2, 0), dtype=np.int64), r"got shape \(2, 0\)"),
+        ],
+        ids=["negative", "sum", "past-int64", "float", "rows", "no-columns"],
+    )
+    def test_invalid_counts_rejected(self, counts, where):
+        with pytest.raises(ValueError, match=where):
+            CompositeMatrix(counts, AlphabetParams(q=2, M=6))
+
+    @pytest.mark.parametrize("m, dtype", [(6, np.int64), (2**63 - 1, np.int64), (2**63, object), (10**30, object)])
+    def test_dtype_by_resolution_read_only_and_copied(self, m, dtype):
+        given_counts = np.array([[m, 1], [0, m - 1]], dtype=object)
+        matrix = CompositeMatrix(given_counts, AlphabetParams(q=2, M=m))
+        assert matrix.counts.dtype == dtype and not matrix.counts.flags.writeable
+        given_counts[0, 0] = 0
+        assert matrix.counts.tolist() == [[m, 1], [0, m - 1]]
+        assert matrix.columns == (CompositeSymbol((m, 0)), CompositeSymbol((1, m - 1)))
+        same = CompositeMatrix([[m, 1], [0, m - 1]], AlphabetParams(q=2, M=m))
+        assert same == matrix and hash(same) == hash(matrix)
+        assert matrix != CompositeMatrix([[m, 0], [0, m]], AlphabetParams(q=2, M=m))
 
 
 @pytest.mark.parametrize(
