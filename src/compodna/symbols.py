@@ -79,9 +79,9 @@ class CompositeMatrix:
     """A q x n composite matrix, held as one read-only (q, n) count array.
 
     Row i - 1 of `counts` is base i, and every column is a composite symbol:
-    nonnegative counts summing to M. The counts given are copied to
-    _count_dtype(M). Any but an int64 array is read entry by entry as Python
-    integers, and a bool is not one.
+    nonnegative counts summing to M. The counts given are copied, as int64
+    below M = 2^63 and as Python ints (object dtype) above. Any input but an
+    int64 array is read entry by entry, and a bool is not an integer.
     """
 
     counts: np.ndarray
@@ -323,7 +323,10 @@ def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int
     L1 distance to the scaled input among integer vectors with that sum.
     Exact: floats are read at their binary value, over a common denominator.
     """
-    ratios = [(v if isinstance(v, float) else operator.index(v)).as_integer_ratio() for v in values]
+    try:
+        ratios = [(v if isinstance(v, float) else operator.index(v)).as_integer_ratio() for v in values]
+    except OverflowError:  # an infinity; a NaN is a ValueError already
+        raise ValueError(f"values must be finite, got {values}") from None
     scale = math.lcm(*(d for _, d in ratios))
     weights = np.array([[p * (scale // d)] for p, d in ratios], dtype=object)
     if (weights < 0).any() or not weights.sum() > 0:

@@ -207,6 +207,11 @@ class TestQuantize:
         with pytest.raises(ValueError):
             largest_remainder_apportion((0.0, 0.0, 0.0, 0.0), 6)
 
+    @pytest.mark.parametrize("values", [(math.inf, 1.0), (math.nan, 1.0), (-1, 2)], ids=["inf", "nan", "negative"])
+    def test_non_finite_or_negative_rejected(self, values):
+        with pytest.raises(ValueError):
+            largest_remainder_apportion(values, 6)
+
     @given(
         q=st.integers(2, 4),
         M=st.integers(1, 6),
