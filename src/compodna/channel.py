@@ -398,10 +398,26 @@ class AlignmentResult:
 
 
 def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
-    """Whether flat[pos + c] == pattern[c] at every c, compared one pattern column at a time."""
+    """Whether flat[pos + c] == pattern[c] at every c; each window lies inside flat.
+
+    A window is read as ceil(span / w) words of w bases each, the last one ending at the
+    window's end (it may overlap the one before): one strided view reads a word at every
+    base of flat. w is the largest power of two <= min(span, 8 // itemsize, flat.size), so
+    a word is at most 64 bits (Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975). Each word is compared with the pattern's own bases in
+    flat's dtype, viewed as the same word type, so byte order does not matter.
+    """
     hit = np.ones(len(pos), dtype=bool)
-    for c, base in enumerate(pattern):
-        hit &= flat[pos + c] == base
+    if not len(pos):
+        return hit
+    flat, span = np.ascontiguousarray(flat), len(pattern)
+    size = flat.dtype.itemsize
+    w = 1 << (min(span, 8 // size, flat.size).bit_length() - 1)
+    word = np.dtype(f"u{w * size}")
+    words = np.ndarray((flat.size - w + 1,), dtype=word, buffer=flat, strides=(size,))
+    keys = np.array(pattern, dtype=flat.dtype)
+    for c in [*range(0, span - w, w), span - w]:
+        hit &= words[pos + c] == keys[c : c + w].view(word)[0]
     return hit
 
 
@@ -470,10 +486,12 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
     matrix, by blocks of rows, less the bases in the gaps between the ranges, gathered row by row."""
     rows, n = strands.shape
     counts = table.reshape(-1, n)
-    step = max(1, 8 * _BLOCK // n)  # smaller reduce calls cost more than they save
+    # Smaller reduce calls cost more than they save; a block's counts are summed in int16, so its
+    # rows stop at 32,767.
+    step = min(max(1, 8 * _BLOCK // n), np.iinfo(np.int16).max)
     for lo in range(0, rows, step):
         for b in range(1, len(counts)):
-            counts[b] += (strands[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int32)
+            counts[b] += (strands[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int16)
     counts[0] = rows - counts[1:].sum(axis=0)
     gaps = np.concatenate(([0], edges, [strands.size])).reshape(-1, 2)
     gaps = gaps[gaps[:, 0] < gaps[:, 1]]
@@ -506,6 +524,8 @@ def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeP
     (as in break_strands' order) and covering `_IN_PLACE_SHARE` of the matrix, are
     counted as its column counts less the bases in the gaps between them.
     """
+    if strands.ndim != 2 or strands.shape[1] != params.n:
+        raise ValueError(f"strand matrix has shape {strands.shape}, but params expect n={params.n} columns")
     offsets = fragments.strand.astype(np.intp) * strands.shape[1] + fragments.start - 1
     return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params, True)
 
@@ -581,8 +601,9 @@ def _check_radices(params: MarkerCodeParams) -> None:
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
     _check_radices(params)
-    gen = substream(seed, LANE_MESSAGE)
-    return [int(gen.integers(0, radix)) for radix in message_radices(params)]
+    # One array draw reads the lane as one scalar draw per radix would, in column order.
+    radices = np.array(message_radices(params), dtype=np.uint64)
+    return substream(seed, LANE_MESSAGE).integers(0, radices).tolist()
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:

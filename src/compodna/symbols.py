@@ -259,6 +259,9 @@ def _rank_composition(counts: Sequence[int]) -> int:
     return rank
 
 
+# Memoized: an encoder unranks the same few symbols column after column (84 free
+# and 56 breaker symbols at q = 4, M = 6). Bounded, since at a large M few repeat.
+@functools.lru_cache(maxsize=4096)
 def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
     # Bar j is the largest s with C(s, j) <= r, bisected on [j - 1, hi): C(j - 1, j) = 0 <= r,
     # and r < C(hi, j) for hi = bar j + 1 (for the top bar, total + parts - 1: r < Q).

@@ -1,6 +1,7 @@
 """Channel pipeline: synthesis, breaking, sampling, alignment, estimation."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -290,6 +291,16 @@ class TestAlignAndCount:
         result = align_and_count([np.ones(31, dtype=np.int16)], params)
         assert result.tallies[FragmentClass.DISCARD] == 1
         assert result.count_table.sum() == 0
+
+
+class TestAlignPoolWidth:
+    def test_rejects_a_strand_matrix_of_another_width(self):
+        # Strands of n = 40 counted under n = 30 params would land at the wrong columns.
+        wide = MarkerCodeParams(alphabet=DNA, n=40, ell=3)
+        strands = synthesize(make_codeword(wide), 4, seed=2)
+        pool = break_strands(40, ExactlyT(t=1), 4, seed=2)
+        with pytest.raises(ValueError, match=r"shape \(4, 40\), but params expect n=30 columns$"):
+            align_pool(strands, pool, MarkerCodeParams(alphabet=DNA, n=30, ell=3))
 
 
 def float_estimate(count_table, params):
@@ -682,6 +693,25 @@ class TestResolutionLimits:
         params = MarkerCodeParams(alphabet=AlphabetParams(q=2, M=2**63 - 1), n=20, ell=2)
         assert max(message_radices(params)) == 2**63
         assert all(0 <= symbol < 2**63 for symbol in random_message(params, 1))
+
+
+class TestMessageDraw:
+    """random_message draws every radix in one call; it reads the message lane as one
+    scalar draw per radix, in column order, would."""
+
+    @staticmethod
+    def digest(message):
+        return hashlib.sha256(json.dumps(message).encode()).hexdigest()
+
+    @pytest.mark.parametrize("q, m, n, ell", [(4, 6, 100, 3), (4, 6, 1000, 5), (3, 2**20, 60, 3), (4, 2**20, 60, 4),
+                                              (2, 2**63 - 1, 40, 3)],
+                             ids=["84/56", "n=1000", "mixed past 2^32", "past 2^32", "radix 2^63"])
+    def test_matches_per_radix_draws(self, q, m, n, ell):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=n, ell=ell)
+        for seed in range(20):
+            gen = substream(seed, channel.LANE_MESSAGE)
+            scalar = [int(gen.integers(0, radix)) for radix in message_radices(params)]
+            assert self.digest(random_message(params, seed)) == self.digest(scalar)
 
 
 class TestTraceStats:

@@ -307,6 +307,64 @@ class TestColumnCountGaps:
         assert check([(int(a), int(b)) for a, b in bounds if a < b], self.N, self.ROWS)
 
 
+def marker_at_by_bases(flat, pos, pattern):
+    """Per-base reference for channel._marker_at: one gather and compare per pattern column."""
+    hit = np.ones(len(pos), dtype=bool)
+    for c, base in enumerate(pattern):
+        hit &= flat[pos + c] == base
+    return hit
+
+
+class TestMarkerWords:
+    """_marker_at reads each window as a few words of several bases; it must agree with the
+    per-base compare on every window, including one with only its last base wrong."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ell=st.integers(1, 6), dtype=st.sampled_from([np.int16, np.int64]), size=st.integers(0, 60),
+           plants=st.lists(st.tuples(st.integers(0, 60), st.integers(-1, 7)), max_size=8),
+           windows=st.integers(0, 20), seed=st.integers(0, 2**32))
+    def test_matches_per_base_compare(self, ell, dtype, size, plants, windows, seed):
+        pattern = MarkerCodeParams(alphabet=DNA, n=2 * ell + 5, ell=ell).marker_pattern()
+        span, rng = len(pattern), np.random.default_rng(seed)
+        flat = rng.integers(1, 4, size=size).astype(dtype)
+        # Plant whole patterns, or patterns with one base changed, so windows that nearly match occur.
+        for at, wrong in plants:
+            if at + span <= size:
+                flat[at : at + span] = pattern
+                if 0 <= wrong < span:
+                    flat[at + wrong] = 3
+        last = size - span  # the window ending at flat's last element
+        pos = np.zeros(0, dtype=np.intp)
+        if last >= 0 and windows:
+            pos = np.array([*rng.integers(0, last + 1, size=windows), last, *(at for at, _ in plants if at <= last)])
+        assert (channel._marker_at(flat, pos, pattern) == marker_at_by_bases(flat, pos, pattern)).all()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("size", [0, 2, 9])
+    def test_no_positions(self, dtype, size):
+        pattern = MarkerCodeParams(alphabet=DNA, n=11, ell=3).marker_pattern()
+        hit = channel._marker_at(np.ones(size, dtype=dtype), np.zeros(0, dtype=np.intp), pattern)
+        assert hit.dtype == bool and hit.shape == (0,)
+
+    def test_empty_pool(self):
+        # No fragment at all: nothing is classified or counted.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        empty = np.zeros(0, dtype=np.int32)
+        result = align_pool(np.zeros((0, 30), dtype=np.int16), FragmentPool(empty, empty, empty), params)
+        assert len(result.classes) == 0 and result.count_table.sum() == 0
+        assert align_and_count([], params).count_table.sum() == 0
+
+
+class TestInt16ColumnCounts:
+    def test_blocks_stop_at_32767_rows(self, monkeypatch):
+        # With a large _BLOCK, one block would hold all 40,000 rows, past int16's range.
+        monkeypatch.setattr(channel, "_BLOCK", 1 << 20)
+        strands = np.full((40_000, 10), 3, dtype=np.int16)
+        table = np.zeros(4 * 10, dtype=np.int64)
+        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        assert (table.reshape(4, 10) == np.array([[0], [0], [40_000], [0]])).all()
+
+
 class TestFloydDraws:
     @PROPERTY
     @given(

@@ -20,7 +20,7 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
-from compodna.symbols import csv_row, json_value
+from compodna.symbols import _unrank_composition, csv_row, json_value
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -157,6 +157,14 @@ class TestRankUnrank:
             symbol = unrank_symbol(k, params)
             assert sum(symbol.counts) == params.M and rank_symbol(symbol, params) == k
         assert unrank_symbol(size - 1, params).counts == (params.M,) + (0,) * (q - 1)
+
+    @pytest.mark.parametrize("q, m", [(2, 1), (3, 6), (4, 6), (5, 4), (2, 2**63 - 1), (4, 10**30)])
+    def test_memoized_unrank_matches_the_bisection(self, q, m):
+        size = math.comb(m + q - 1, q - 1)
+        indices = sorted({*range(min(size, 100)), size // 3, size // 2, size - 1})
+        for k in indices * 2:  # the second pass reads the cache
+            assert _unrank_composition(k, q, m) == _unrank_composition.__wrapped__(k, q, m)
+        assert _unrank_composition.cache_info().maxsize is not None
 
     def test_out_of_range_index(self):
         params = AlphabetParams(q=4, M=6)
