@@ -398,7 +398,7 @@ class AlignmentResult:
 
 
 def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
-    """Whether flat[pos + c] == pattern[c] at every c; each window lies inside flat.
+    """Whether flat[pos + c] == pattern[c] at every c; flat is contiguous, each window inside it.
 
     A window is read as ceil(span / w) words of w bases each, the last one ending at the
     window's end (it may overlap the one before): one strided view reads a word at every
@@ -410,8 +410,7 @@ def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.
     hit = np.ones(len(pos), dtype=bool)
     if not len(pos):
         return hit
-    flat, span = np.ascontiguousarray(flat), len(pattern)
-    size = flat.dtype.itemsize
+    span, size = len(pattern), flat.dtype.itemsize
     w = 1 << (min(span, 8 // size, flat.size).bit_length() - 1)
     word = np.dtype(f"u{w * size}")
     words = np.ndarray((flat.size - w + 1,), dtype=word, buffer=flat, strides=(size,))
@@ -431,6 +430,8 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
     flat ravels the strand matrix, and align_pool's rule counts some by its
     column counts (_count_by_columns); the rest are gathered (_gathered).
     """
+    if flat.dtype.kind not in "iuf" or flat.dtype.itemsize > 8:  # _marker_at reads bases as machine words
+        raise ValueError(f"bases must be integers or reals of at most 8 bytes, got dtype {flat.dtype}")
     q, n, pattern = params.q, params.n, params.marker_pattern()
     span = len(pattern)
     fit = np.flatnonzero((lengths >= span) & (lengths <= n))

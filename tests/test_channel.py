@@ -286,6 +286,14 @@ class TestAlignAndCount:
         assert result.tallies[FragmentClass.DISCARD] == 1
         assert result.count_table.sum() == 0
 
+    @pytest.mark.parametrize("dtype", [object, np.complex128])
+    def test_rejects_bases_that_are_not_machine_numbers(self, dtype):
+        # The marker test reads bases as machine words of at most 64 bits.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        strand = np.array(synthesize(make_codeword(params), 1, seed=8)[0], dtype=dtype)
+        with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}$"):
+            align_and_count([strand[:10], strand[10:]], params)
+
     def test_overlong_fragment_counted_as_discard(self):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         result = align_and_count([np.ones(31, dtype=np.int16)], params)
