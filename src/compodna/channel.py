@@ -11,7 +11,7 @@ A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices plus one (strand, start, end) triplet per
 fragment (`FragmentPool`), strand-major. Stages work in blocks of about
 `_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop. A
-pool-order sample whose fragments at their own columns cover `_IN_PLACE_SHARE`
+pool-order sample whose fragments at their own columns cover `_COLUMN_COUNT_SHARE`
 of the matrix is counted as its column counts less the gaps (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
@@ -47,7 +47,7 @@ LANE_MESSAGE = 3
 _BLOCK = 1 << 14
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
-_IN_PLACE_SHARE = 0.65
+_COLUMN_COUNT_SHARE = 0.65
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -402,16 +402,14 @@ def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.
 
     A window is read as ceil(span / w) words of w bases each, the last one ending at the
     window's end (it may overlap the one before): one strided view reads a word at every
-    base of flat. w is the largest power of two <= min(span, 8 // itemsize, flat.size), so
-    a word is at most 64 bits (Lamport, "Multiple byte processing with full-word
+    base of flat. w is the largest power of two <= max(1, min(span, 8 // itemsize, flat.size)),
+    so a word is at most 64 bits (Lamport, "Multiple byte processing with full-word
     instructions", CACM 1975). Each word is compared with the pattern's own bases in
     flat's dtype, viewed as the same word type, so byte order does not matter.
     """
     hit = np.ones(len(pos), dtype=bool)
-    if not len(pos):
-        return hit
     span, size = len(pattern), flat.dtype.itemsize
-    w = 1 << (min(span, 8 // size, flat.size).bit_length() - 1)
+    w = 1 << (max(1, min(span, 8 // size, flat.size)).bit_length() - 1)
     word = np.dtype(f"u{w * size}")
     words = np.ndarray((flat.size - w + 1,), dtype=word, buffer=flat, strides=(size,))
     keys = np.array(pattern, dtype=flat.dtype)
@@ -420,19 +418,20 @@ def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.
     return hit
 
 
-def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams,
-           in_place: bool = False) -> AlignmentResult:
+def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> AlignmentResult:
     """The classify/count core over fragments flat[offsets[i] : offsets[i] + lengths[i]].
 
-    Heads and tails are compared with marker_pattern(), by the rules of
-    classify_fragment; fragments longer than n are discarded. Prefixes and
-    full strands anchor at column 1, suffixes at column n. With `in_place`,
-    flat ravels the strand matrix, and align_pool's rule counts some by its
-    column counts (_count_by_columns); the rest are gathered (_gathered).
+    flat ravels `bases`, integers in 1..q: a 1-D concatenation (align_and_count) or the (rows, n)
+    strand matrix, of which align_pool's rule counts some fragments by its column counts
+    (_count_by_columns); the rest are gathered (_gathered). Heads and tails are compared with
+    marker_pattern(), by the rules of classify_fragment; fragments longer than n are discarded.
+    Prefixes and full strands anchor at column 1, suffixes at column n.
     """
-    if flat.dtype.kind not in "iuf" or flat.dtype.itemsize > 8:  # _marker_at reads bases as machine words
-        raise ValueError(f"bases must be integers or reals of at most 8 bytes, got dtype {flat.dtype}")
-    q, n, pattern = params.q, params.n, params.marker_pattern()
+    q, n, pattern, flat = params.q, params.n, params.marker_pattern(), bases.ravel()
+    if flat.dtype.kind not in "iu":  # a real would be truncated; _marker_at reads bases as machine words
+        raise ValueError(f"bases must be integers, got dtype {flat.dtype}")
+    if flat.size and not 1 <= flat.min() <= flat.max() <= q:
+        raise ValueError(f"bases must lie in 1..{q}, got {flat[(flat < 1) | (flat > q)][0]}")
     span = len(pattern)
     fit = np.flatnonzero((lengths >= span) & (lengths <= n))
     starts, ends = np.zeros((2, len(offsets)), dtype=bool)
@@ -446,17 +445,15 @@ def _align(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: M
     classes[starts & (lengths == span)] = _MARKER_ONLY
 
     table = np.zeros(q * n, dtype=np.int64)
-    gather = classes <= _SUFFIX
-    if in_place:
-        mine = gather & (np.where(classes == _SUFFIX, n - lengths, 0) == offsets % n)  # at their own columns
-        mine &= (np.diff(offsets, prepend=-1) != 0) & (np.diff(offsets, append=flat.size) != 0)  # no twin beside
+    gather, anchor = classes <= _SUFFIX, np.where(classes == _SUFFIX, n - lengths, 0)
+    if bases.ndim == 2:
+        mine = gather & (anchor == offsets % n) & (np.diff(offsets, prepend=-1) != 0)  # own columns, first copies
         edges = np.column_stack((offsets[mine], offsets[mine] + lengths[mine])).ravel()
-        if lengths[mine].sum() >= _IN_PLACE_SHARE * flat.size and (np.diff(edges) >= 0).all():
+        if lengths[mine].sum() >= _COLUMN_COUNT_SHARE * flat.size and (np.diff(edges) >= 0).all():
             _count_by_columns(flat.reshape(-1, n), edges, table)
             gather &= ~mine
     usable = np.flatnonzero(gather)
-    anchor = np.where(classes[usable] == _SUFFIX, n - lengths[usable], 0)
-    table += _gathered(flat, offsets[usable], lengths[usable], anchor, q, n)
+    table += _gathered(flat, offsets[usable], lengths[usable], anchor[usable], q, n)
     tallies = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
 
@@ -514,21 +511,28 @@ def align_and_count(samples: Sequence[np.ndarray], params: MarkerCodeParams) -> 
     frags = [np.asarray(frag) for frag in samples]
     lengths = np.array([len(frag) for frag in frags], dtype=np.intp)
     flat = np.concatenate(frags) if frags else np.empty(0, dtype=np.int16)
+    if flat.ndim != 1:  # a 2-D input would be read as a strand matrix
+        raise ValueError(f"fragments must be 1-D arrays of bases, got {flat.ndim}-D")
     return _align(flat, np.cumsum(lengths) - lengths, lengths, params)
 
 
 def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeParams) -> AlignmentResult:
-    """align_and_count for fragments held as triplets into the strand matrix.
+    """align_and_count for fragments held as triplets inside the strand matrix.
 
-    Full fragments, Prefixes from column 1 and Suffixes to column n sit at
-    their own columns. Those not repeated by a neighbour, if ascending and disjoint
-    (as in break_strands' order) and covering `_IN_PLACE_SHARE` of the matrix, are
+    Full fragments, Prefixes from column 1 and Suffixes to column n sit at their own
+    columns. Those not a later copy of the fragment before them, if ascending and disjoint
+    (as in break_strands' order) and covering `_COLUMN_COUNT_SHARE` of the matrix, are
     counted as its column counts less the bases in the gaps between them.
     """
     if strands.ndim != 2 or strands.shape[1] != params.n:
         raise ValueError(f"strand matrix has shape {strands.shape}, but params expect n={params.n} columns")
-    offsets = fragments.strand.astype(np.intp) * strands.shape[1] + fragments.start - 1
-    return _align(strands.ravel(), offsets, (fragments.end - fragments.start + 1).astype(np.intp), params, True)
+    s, a, b = fragments.strand, fragments.start, fragments.end
+    bad = (s < 0) | (s >= len(strands)) | (a < 1) | (a > b) | (b > params.n)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"fragment {i} (strand {s[i]}, columns {a[i]}..{b[i]}) is outside the {strands.shape} matrix")
+    offsets = s.astype(np.intp) * params.n + a - 1
+    return _align(strands, offsets, (b - a + 1).astype(np.intp), params)
 
 
 class ZeroCoverageError(ValueError):
@@ -615,13 +619,10 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
     true[at_start & at_end] = _FULL
     k = len(_CLASSES)
     confusion = np.bincount(true * k + predicted, minlength=k * k).reshape(k, k)
-    # Contradicted cells: a predicted marker the fragment's true position lacks.
-    errors = (
-        confusion[[_PREFIX, _SUFFIX, _DISCARD], _FULL].sum()
-        + confusion[[_SUFFIX, _DISCARD], _PREFIX].sum()
-        + confusion[[_PREFIX, _DISCARD], _SUFFIX].sum()
-        + confusion[_DISCARD, _MARKER_ONLY]
-    )
+    # Contradicted: a predicted marker at column 1 (Full, Prefix), at column n (Full, Suffix)
+    # or at either (MarkerOnly) that the fragment's position lacks.
+    head, tail = (predicted == _FULL) | (predicted == _PREFIX), (predicted == _FULL) | (predicted == _SUFFIX)
+    errors = ((head & ~at_start) | (tail & ~at_end) | ((predicted == _MARKER_ONLY) & ~at_start & ~at_end)).sum()
     names = [kind.value for kind in _CLASSES]
     return TraceStats(
         sampled_fragments=len(picked),

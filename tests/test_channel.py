@@ -311,6 +311,77 @@ class TestAlignPoolWidth:
             align_pool(strands, pool, MarkerCodeParams(alphabet=DNA, n=30, ell=3))
 
 
+class TestAlignPoolTriplets:
+    """A triplet must name a strand row of the matrix and columns 1 <= start <= end <= n."""
+
+    PARAMS = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=6), n=30, ell=3)
+
+    @pytest.mark.parametrize("strand, start, end", [(0, 31, 60), (7, 1, 30), (-1, 1, 30), (0, 0, 30), (0, 9, 8)])
+    def test_rejects_a_triplet_outside_the_matrix(self, strand, start, end):
+        # Columns 31..60 of strand 0 would be read from strand 1; row 7 of 4 from past the matrix.
+        strands = synthesize(make_codeword(self.PARAMS), 4, seed=2)
+        pool = break_strands(30, ExactlyT(t=1), 4, seed=2)
+        bad = channel.FragmentPool(*(np.append(getattr(pool, f), v).astype(np.int32)
+                                     for f, v in zip(("strand", "start", "end"), (strand, start, end))))
+        message = rf"fragment {len(pool)} \(strand {strand}, columns {start}..{end}\) is outside the \(4, 30\) matrix$"
+        with pytest.raises(ValueError, match=message):
+            align_pool(strands, bad, self.PARAMS)
+
+    def test_names_the_first_bad_triplet(self):
+        strands = synthesize(make_codeword(self.PARAMS), 4, seed=2)
+        pool = channel.FragmentPool(np.array([0, 9, 0, 5], dtype=np.int32), np.array([1, 1, 40, 1], dtype=np.int32),
+                                    np.array([30, 30, 50, 30], dtype=np.int32))
+        with pytest.raises(ValueError, match=r"^fragment 1 \(strand 9, columns 1..30\)"):
+            align_pool(strands, pool, self.PARAMS)
+
+
+class TestBasesOutsideTheAlphabet:
+    """Alignment counts bases 1..q only: any other value, or a non-integer dtype, is rejected
+    whichever entry point reads it, instead of being counted as some other base."""
+
+    PARAMS = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=6), n=30, ell=3)
+
+    def _strands(self):
+        return synthesize(make_codeword(self.PARAMS), 50, seed=3)
+
+    @pytest.mark.parametrize("value", [9, 0, -2])
+    def test_align_pool_rejects_a_base_outside_1_to_q(self, value):
+        strands = self._strands()
+        strands[7, 12] = value
+        pool = break_strands(30, ExactlyT(t=1), 50, seed=3)
+        with pytest.raises(ValueError, match=rf"bases must lie in 1..4, got {value}$"):
+            align_pool(strands, pool, self.PARAMS)
+
+    @pytest.mark.parametrize("value", [9, 0, -2])
+    def test_align_and_count_rejects_a_base_outside_1_to_q(self, value):
+        strands = self._strands()
+        strands[7, 12] = value
+        with pytest.raises(ValueError, match=rf"bases must lie in 1..4, got {value}$"):
+            align_and_count(list(strands), self.PARAMS)
+
+    def test_nine_and_zero_in_one_column_count(self):
+        # Both counted as base 1 by the column count, before bases were checked.
+        strands = self._strands()
+        strands[[0, 0], [12, 13]] = 9, 0
+        pool = break_strands(30, ExactlyT(t=0), 50, seed=3)
+        with pytest.raises(ValueError, match="bases must lie in 1..4, got 9$"):
+            align_pool(strands, pool, self.PARAMS)
+
+    def test_rejects_real_bases(self):
+        # 3.5 would be truncated and counted as base 3.
+        strands = self._strands().astype(np.float64)
+        strands[7, 12] = 3.5
+        pool = break_strands(30, ExactlyT(t=1), 50, seed=3)
+        with pytest.raises(ValueError, match="got dtype float64$"):
+            align_pool(strands, pool, self.PARAMS)
+        with pytest.raises(ValueError, match="got dtype float64$"):
+            align_and_count(list(strands), self.PARAMS)
+
+    def test_rejects_two_dimensional_fragments(self):
+        with pytest.raises(ValueError, match="fragments must be 1-D arrays of bases, got 2-D$"):
+            align_and_count([self._strands()[:2], self._strands()[2:]], self.PARAMS)
+
+
 def float_estimate(count_table, params):
     """estimate_matrix's counts by float scaling, v / w * M, one column at a time: the
     reference wherever no exact tie makes the floats' rounding decide."""

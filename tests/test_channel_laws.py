@@ -240,7 +240,7 @@ def mahalanobis(deviation: np.ndarray, covariance: np.ndarray, count: int) -> fl
 
 
 class TestPerBondFragmentLaws:
-    """A full PerBond pool aligned in pool order and counted in place by align_pool."""
+    """A full PerBond pool aligned in pool order and counted by columns by align_pool."""
 
     N, ELL, P, S = 40, 3, 0.05, 20_000
 
@@ -255,10 +255,10 @@ class TestPerBondFragmentLaws:
             counted(strands, edges, table)
 
         # Such a pool covers about 0.71 of the matrix, near the share cut: lift the cut.
-        monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)
         monkeypatch.setattr(channel, "_count_by_columns", record)
         aligned = align_pool(strands, pool, params)
-        # Every usable fragment sits at its own columns: one in-place count reads it all.
+        # Every usable fragment sits at its own columns: one count by columns reads it all.
         assert covered == [aligned.count_table.sum()]
         return params, pool, aligned
 

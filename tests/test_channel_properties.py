@@ -1,5 +1,5 @@
 """Property tests of the array channel core: split invariance, the array
-classifier/counter against a per-fragment oracle, the in-place count against
+classifier/counter against a per-fragment oracle, the column count against
 the gather, Floyd bond draws, the cut and synthesis cores against scalar
 references, block-size invariance, and run_experiment's pinned outputs."""
 
@@ -124,7 +124,7 @@ class TestSplitInvariance:
             # column-count blocks 8000 // n = 200 to 727 (all 600 at n <= 13); the gaps' gather
             # ends a block every 1000 bases. A share of 0 counts by columns whatever is covered.
             patch.setattr(channel, "_BLOCK", 1000)
-            patch.setattr(channel, "_IN_PLACE_SHARE", 0)
+            patch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)
             whole = synthesize(codeword, count, seed)
             pool = break_strands(n, model, count, seed)
             # Strand i's bases and cuts do not depend on how many strands are drawn.
@@ -213,7 +213,7 @@ def plant_markers(strands, params, rng, share):
 
 
 class TestInPlaceCountMatchesGather:
-    """align_pool on break_strands pools in pool order: counted in place (share rule 0,
+    """align_pool on break_strands pools in pool order: counted by columns (share rule 0,
     or the default) and gathered alone (share rule infinite) give the same result."""
 
     @PROPERTY
@@ -229,24 +229,60 @@ class TestInPlaceCountMatchesGather:
         k = {"full": len(pool), "part": int(rng.integers(1, len(pool) + 1)), "replace": 2 * len(pool)}[sample]
         picked = sample_fragments(pool, k, sample == "replace", substream(seed, LANE_SAMPLE))
         picked = picked[np.argsort(picked.strand * params.n + picked.start)]  # pool order, as run_experiment
-        shares = []  # the share rule in force at each in-place count
+        shares = []  # the share rule in force at each count by columns
         results = []
         with pytest.MonkeyPatch.context() as patch:
             counted = channel._count_by_columns
 
             def record(*args):
-                shares.append(channel._IN_PLACE_SHARE)
+                shares.append(channel._COLUMN_COUNT_SHARE)
                 return counted(*args)
 
             patch.setattr(channel, "_count_by_columns", record)
-            for share in (0, channel._IN_PLACE_SHARE, math.inf):
-                patch.setattr(channel, "_IN_PLACE_SHARE", share)
+            for share in (0, channel._COLUMN_COUNT_SHARE, math.inf):
+                patch.setattr(channel, "_COLUMN_COUNT_SHARE", share)
                 results.append(align_pool(strands, picked, params))
         assert shares[:1] == [0] and math.inf not in shares
         for result in results[:2]:
             assert (result.count_table == results[2].count_table).all()
             assert (result.classes == results[2].classes).all()
             assert result.tallies == results[2].tallies
+
+
+class TestRepeatedFragments:
+    """In a pool-order sample drawn with replacement, the first copy of a repeated fragment
+    counts by columns and its later copies are gathered."""
+
+    def test_first_copies_count_by_columns(self, monkeypatch):
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        strands = synthesize(random_codeword(params, np.random.default_rng(6)), 400, 6)
+        pool = break_strands(30, ExactlyT(t=1, bond_range=(6, 24)), 400, 6)
+        picked = sample_fragments(pool, 2 * len(pool), True, substream(6, LANE_SAMPLE))
+        picked = picked[np.argsort(picked.strand * 30 + picked.start)]  # pool order, as run_experiment
+        offsets, lengths = picked.strand * 30 + picked.start, picked.end - picked.start + 1
+        first = np.diff(offsets, prepend=-1) != 0
+        once = first & (np.diff(offsets, append=offsets[-1] + 1) != 0)
+        # First copies cover about 1 - e^-2 = 0.86 of the matrix, fragments drawn once about
+        # 2e^-2 = 0.27: only the first-copy rule reaches the share cut.
+        assert lengths[first].sum() > 0.8 * strands.size and lengths[once].sum() < 0.35 * strands.size
+        counted, calls = channel._count_by_columns, []
+
+        def record(strands, edges, table):
+            calls.append(edges)
+            counted(strands, edges, table)
+
+        monkeypatch.setattr(channel, "_count_by_columns", record)
+        by_columns = align_pool(strands, picked, params)
+        assert len(calls) == 1
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", math.inf)
+        gathered = align_pool(strands, picked, params)
+        assert len(calls) == 1
+        assert (by_columns.count_table == gathered.count_table).all()
+        assert (by_columns.classes == gathered.classes).all()
+        assert by_columns.tallies == gathered.tallies
+        # The column count covered exactly the first copies of the usable fragments.
+        usable = by_columns.classes <= tuple(FragmentClass).index(FragmentClass.SUFFIX)
+        assert (calls[0][1::2] - calls[0][::2]).sum() == lengths[first & usable].sum()
 
 
 class TestColumnCountGaps:
@@ -294,9 +330,9 @@ class TestColumnCountGaps:
         monkeypatch.setattr(channel, "_count_by_columns", record)
         for cap in TestBlockSizes.CAPS:
             monkeypatch.setattr(channel, "_BLOCK", cap)
-            monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)
+            monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)
             by_columns = align_pool(strands, pool, params)
-            monkeypatch.setattr(channel, "_IN_PLACE_SHARE", math.inf)
+            monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", math.inf)
             gathered = align_pool(strands, pool, params)
             assert (by_columns.count_table == gathered.count_table).all()
             assert (by_columns.classes == gathered.classes).all()
@@ -483,7 +519,7 @@ class TestBlockSizes:
                              ids=repr)
     def test_run_experiment(self, model, sample, monkeypatch):
         config = ChannelConfig(MarkerCodeParams(alphabet=DNA, n=30, ell=3), 150, model, sample, sample is not None, 5)
-        monkeypatch.setattr(channel, "_IN_PLACE_SHARE", 0)  # two pools cover under the cut: count by columns anyway
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)  # two pools cover under the cut: count by columns anyway
         results = []
         for cap in self.CAPS:
             monkeypatch.setattr(channel, "_BLOCK", cap)
@@ -515,7 +551,7 @@ class TestBlockSizes:
         pool_frags = [strands[s, a - 1 : b] for s, a, b in zip(pool.strand, pool.start, pool.end)]
         expected = [oracle_align(frags, params), oracle_align(picked_frags, params), oracle_align(pool_frags, params)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(channel, "_IN_PLACE_SHARE", 0)  # the pool in pool order is counted in place
+            patch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)  # the pool in pool order is counted by columns
             for cap in self.CAPS:
                 patch.setattr(channel, "_BLOCK", cap)
                 results = [align_and_count(frags, params), align_pool(strands, picked, params),
