@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .marker import FragmentClass, MarkerCodeParams, _first_data_radices, construct_codeword, layout, message_radices
+from .marker import FragmentClass, MarkerCodeParams, _check_radices, construct_codeword, layout, message_radices
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
 from .symbols import _apportion
 
@@ -43,7 +43,8 @@ LANE_BREAK = 1
 LANE_SAMPLE = 2
 LANE_MESSAGE = 3
 
-# Draws or aligned bases per vectorized block: bounds the working set.
+# Draws or aligned bases per vectorized block. This bounds every stage's working set but
+# synthesis's: its tiled base limits take (q - 1) * k * _BLOCK slots, k slots a word.
 _BLOCK = 1 << 14
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
@@ -202,6 +203,7 @@ class ChannelConfig:
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)
         _check_radices(self.code_params)
+        _check_base_count(self.code_params.q)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -235,6 +237,12 @@ def _slots_per_word(m: int) -> int:
     return next(k for k in range(32, 0, -1) if m**k <= 1 << 32)
 
 
+def _check_base_count(q: int) -> None:
+    """Synthesized strands hold 1-based bases as int16, so q may be at most 32,767."""
+    if q > np.iinfo(np.int16).max:
+        raise ValueError(f"synthesized strands hold bases as int16, so q must be <= 32767, got q={brief(q)}")
+
+
 def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. strands from the matrix's column distributions.
 
@@ -249,6 +257,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
+    _check_base_count(matrix.params.q)
     width, big, slot = -(-n // k), np.uint64(m**k), np.min_scalar_type(m)
     limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
     limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
@@ -357,10 +366,11 @@ def apply_breaks_traced(strand: np.ndarray, model: BreakModel, rng: np.random.Ge
 def sample_fragments(
     pool: Union[FragmentPool, Sequence], k: int, with_replacement: bool, rng: np.random.Generator
 ) -> Union[FragmentPool, list]:
-    """Uniformly sample k pool items, in randomized order.
+    """Uniformly sample k pool items.
 
-    A FragmentPool gives a FragmentPool of the sampled triplets; any other
-    sequence gives a list of its sampled items.
+    A FragmentPool gives a FragmentPool of the sampled triplets in pool order (the whole
+    pool without replacement is the pool itself, and nothing is drawn); any other
+    sequence gives a list of its sampled items, in randomized order.
     """
     size = len(pool)
     if size < 1:
@@ -372,9 +382,11 @@ def sample_fragments(
     else:
         if k > size:
             raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
+        if k == size and isinstance(pool, FragmentPool):
+            return pool
         idx = rng.permutation(size)[:k]
     if isinstance(pool, FragmentPool):
-        return pool[idx]
+        return pool[np.sort(idx)]
     return [pool[i] for i in idx]
 
 
@@ -596,13 +608,6 @@ class TraceStats:
     confusion: dict[str, dict[str, int]]
 
 
-def _check_radices(params: MarkerCodeParams) -> None:
-    """A ValueError names the first data column whose radix passes 2^63; the layout is not built."""
-    for j, radix in _first_data_radices(params):
-        if radix > 1 << 63:
-            raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(radix)}")
-
-
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
     _check_radices(params)
@@ -639,11 +644,7 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
     strands = synthesize(codeword, count, seed)
     pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
-    if k == len(pool) and not config.with_replacement:
-        picked = pool  # the whole pool, already in pool order; the sample lane feeds nothing else
-    else:
-        picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
-        picked = picked[np.argsort(picked.strand.astype(np.intp) * params.n + picked.start)]  # in pool order
+    picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
     aligned = align_pool(strands, picked, params)
     estimated = estimate_matrix(aligned.count_table, params)
     errors = int((estimated.counts != codeword.counts).any(axis=0).sum())
@@ -665,10 +666,9 @@ def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
     The stages are the public ones, chained: random_message, construct_codeword,
-    synthesize, break_strands, sample_fragments (its sample put in pool order;
-    the whole pool without replacement is the pool itself), align_pool,
-    estimate_matrix. `workers` is accepted for compatibility and has no
-    effect; the report is byte-identical at any value.
+    synthesize, break_strands, sample_fragments, align_pool, estimate_matrix.
+    `workers` is accepted for compatibility and has no effect; the report is
+    byte-identical at any value.
     """
     return _run(config)[0]
 

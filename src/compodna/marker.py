@@ -34,6 +34,7 @@ from .symbols import (
     _unrank_composition,
     _rank_composition,
     alphabet_size,
+    brief,
     restricted_symbol_count,
 )
 
@@ -164,14 +165,14 @@ def _radix(m: int, k: int) -> int:
     return math.comb(m + k - 1, k - 1)
 
 
-def _first_data_radices(params: MarkerCodeParams) -> list[tuple[int, int]]:
-    """(column, radix) of the first data column of each role, in column order, in O(ell) time
-    and memory at any n and q: roles repeat every ell data columns, and a breaker weighs q - 1
-    bases, a free column q."""
-    span, first = params.ell + 2, {}
+def _check_radices(params: MarkerCodeParams) -> None:
+    """A ValueError names the first data column whose radix passes 2^63, in O(ell) time and
+    memory at any n and q: roles repeat every ell data columns, and a breaker weighs q - 1
+    bases, a free column q. The layout is not built."""
+    span, radix = params.ell + 2, {"breaker": _radix(params.M, params.q - 1), "free": _radix(params.M, params.q)}
     for j in range(span + 1, min(params.n - span, span + params.ell) + 1):
-        first.setdefault(_data_role(j, params.ell), j)
-    return [(j, _radix(params.M, params.q - (role == "breaker"))) for role, j in first.items()]
+        if (value := radix[_data_role(j, params.ell)]) > 1 << 63:
+            raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(value)}")
 
 
 def message_radices(params: MarkerCodeParams) -> list[int]:

@@ -163,12 +163,9 @@ def forbidden_block_count(j: int, k: int, Q: int, R: int, ell: int) -> int:
         raise ValueError(f"run start j={j} outside [1, {ell + 1}]")
     if not ell <= k <= 2 * ell - j + 1:
         raise ValueError(f"run length k={k} outside [{ell}, {2 * ell - j + 1}] for j={j}")
-    two_ell = 2 * ell
-    if j == 1 and k == two_ell:
-        return R**two_ell
-    if (j == 1 and k < two_ell) or (j > 1 and k == two_ell - j + 1):
-        return R**k * Q ** (two_ell - k - 1) * (Q - R)
-    return R**k * Q ** (two_ell - k - 2) * (Q - R) ** 2
+    # The run is flanked by an unrestricted symbol on each of its f sides that does not touch an end.
+    f = (j > 1) + (j + k - 1 < 2 * ell)
+    return R**k * (Q - R) ** f * Q ** (2 * ell - k - f)
 
 
 def _log_q(value: int, Q: int) -> float:

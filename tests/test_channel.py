@@ -256,6 +256,20 @@ class TestSampleFragments:
         with pytest.raises(ValueError):
             sample_fragments([], 1, False, substream(1, LANE_SAMPLE))
 
+    def test_fragment_pool_sample_is_the_draw_in_pool_order(self):
+        pool = break_strands(30, PerBond(p=0.1), 40, seed=2)
+        size = len(pool)
+        for k, replace in ((size // 3, False), (size - 1, False), (size // 2, True), (3 * size, True)):
+            gen = substream(4, LANE_SAMPLE)
+            idx = gen.integers(0, size, size=k) if replace else gen.permutation(size)[:k]
+            picked = sample_fragments(pool, k, replace, substream(4, LANE_SAMPLE))
+            want = pool[np.sort(idx)]
+            for got, expected in zip((picked.strand, picked.start, picked.end), (want.strand, want.start, want.end)):
+                assert (got == expected).all()
+        gen = substream(4, LANE_SAMPLE)
+        assert sample_fragments(pool, size, False, gen) is pool
+        assert gen.random() == substream(4, LANE_SAMPLE).random()  # nothing drawn
+
 
 class TestAlignAndCount:
     def test_full_fragments_cover_everything(self):
@@ -726,6 +740,23 @@ class TestResolutionLimits:
         with pytest.raises(ValueError, match=message):
             synthesize(CompositeMatrix(np.transpose([(m, 0)] * 3), alphabet), 5, seed=1)
 
+    @pytest.mark.parametrize("q", [32768, 40000])
+    def test_config_and_synthesize_reject_q_past_int16(self, q, monkeypatch):
+        # Strands hold bases as int16: base 32768 would wrap to -32768.
+        message = rf"so q must be <= 32767, got q={q}$"
+        alphabet = AlphabetParams(q=q, M=1)
+        with pytest.raises(ValueError, match=message):
+            ChannelConfig(MarkerCodeParams(alphabet=alphabet, n=13, ell=3), 2, ExactlyT(t=1), None, False, 1)
+        counts = np.zeros((q, 13), dtype=np.int64)
+        counts[q - 1] = 1  # every column on base q
+
+        def no_draw(*args):
+            raise AssertionError("synthesize drew before rejecting q")
+
+        monkeypatch.setattr(channel, "substream", no_draw)
+        with pytest.raises(ValueError, match=message):
+            synthesize(CompositeMatrix(counts, alphabet), 2, seed=1)
+
     def test_message_draw_names_a_radix_past_2_to_the_63(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=2**31), n=20, ell=2)
         column, radix = layout(params).data_positions()[0], message_radices(params)[0]
@@ -744,8 +775,8 @@ class TestResolutionLimits:
         with pytest.raises(ValueError, match=rf"radices <= 2\^63, but column {column} has radix {radix}$"):
             ChannelConfig(params, 10, ExactlyT(t=1), None, False, 1)
 
-    @pytest.mark.parametrize("q, m, n, error", [(4, 6, 10**30, None), (10**9, 1, 40, None), (10**30, 1, 40, "column 6")],
-                             ids=["n=10^30", "q=10^9", "q=10^30"])
+    @pytest.mark.parametrize("q, m, n, error", [(4, 6, 10**30, None), (32767, 1, 40, None), (10**30, 1, 40, "column 6")],
+                             ids=["n=10^30", "q=32767", "q=10^30"])
     def test_config_load_does_not_build_the_layout(self, monkeypatch, q, m, n, error):
         # Any n and q load, or fail on a radix, without an O(n) or O(q) layout.
         def no_layout(*args):

@@ -178,6 +178,7 @@ class TestArrayClassifierMatchesOracle:
         pool = break_strands(params.n, model, 300, seed)
         picked = sample_fragments(pool, int(rng.integers(1, 2 * len(pool))) if replace else len(pool),
                                   replace, substream(seed, LANE_SAMPLE))
+        picked = picked[rng.permutation(len(picked))]  # triplets out of pool order
         frags = [strands[s, a - 1 : b] for s, a, b in zip(picked.strand, picked.start, picked.end)]
         classes, table = oracle_align(frags, params)
         result = align_pool(strands, picked, params)
@@ -228,7 +229,6 @@ class TestInPlaceCountMatchesGather:
         pool = break_strands(params.n, model, 300, seed)
         k = {"full": len(pool), "part": int(rng.integers(1, len(pool) + 1)), "replace": 2 * len(pool)}[sample]
         picked = sample_fragments(pool, k, sample == "replace", substream(seed, LANE_SAMPLE))
-        picked = picked[np.argsort(picked.strand * params.n + picked.start)]  # pool order, as run_experiment
         shares = []  # the share rule in force at each count by columns
         results = []
         with pytest.MonkeyPatch.context() as patch:
@@ -258,7 +258,6 @@ class TestRepeatedFragments:
         strands = synthesize(random_codeword(params, np.random.default_rng(6)), 400, 6)
         pool = break_strands(30, ExactlyT(t=1, bond_range=(6, 24)), 400, 6)
         picked = sample_fragments(pool, 2 * len(pool), True, substream(6, LANE_SAMPLE))
-        picked = picked[np.argsort(picked.strand * 30 + picked.start)]  # pool order, as run_experiment
         offsets, lengths = picked.strand * 30 + picked.start, picked.end - picked.start + 1
         first = np.diff(offsets, prepend=-1) != 0
         once = first & (np.diff(offsets, append=offsets[-1] + 1) != 0)

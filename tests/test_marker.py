@@ -31,7 +31,7 @@ from compodna import (
     restricted_symbol_count,
     synthesize,
 )
-from compodna.marker import _first_data_radices
+from compodna.marker import _check_radices
 
 DNA = AlphabetParams(q=4, M=6)
 LAMBDA_DNA = math.log(3) / math.log(84)  # log_Q(Q/(Q-R)) at (q=4, M=6)
@@ -173,13 +173,24 @@ class TestConstruct:
         for k in (1, 7):
             assert estimate_matrix(k * cw.counts, params) == cw
 
-    @given(params_and_message())
-    def test_first_data_radices_match_the_layout(self, pm):
-        params, _ = pm
-        lay, first = layout(params), {}
-        for j in lay.data_positions():
-            first.setdefault(lay.roles[j - 1], (j, lay.radices[j - 1]))
-        assert _first_data_radices(params) == sorted(first.values())
+    def test_check_radices_names_the_first_layout_column_past_2_to_the_63(self):
+        # Both sides of 2^63: at q = 2 the free radix is M + 1 (a breaker's 1); at q = 3
+        # it is C(M + 2, 2), while the breaker radix is M + 1. At ell = 5 the first data
+        # column is a breaker, so a free radix past 2^63 is named at the second.
+        outcomes = set()
+        for q, m in itertools.product((2, 3), (2**32 - 2, 2**32 - 1, 2**63 - 1, 2**63)):
+            for ell, extra in itertools.product(range(1, 6), (1, 2, 7)):
+                params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=2 * (ell + 2) + extra, ell=ell)
+                lay = layout(params)
+                data = lay.data_positions()
+                over = [j for j in data if lay.radices[j - 1] > 1 << 63]
+                outcomes.add(tuple((lay.roles[j - 1], j == data[0]) for j in over[:1]))
+                if not over:
+                    _check_radices(params)
+                    continue
+                with pytest.raises(ValueError, match=rf"but column {over[0]} has radix {lay.radices[over[0] - 1]}$"):
+                    _check_radices(params)
+        assert outcomes == {(), (("breaker", True),), (("free", True),), (("free", False),)}
 
     def test_exhaustive_roundtrip_over_small_message_space(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=3, M=2), n=13, ell=2)
