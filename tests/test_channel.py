@@ -778,7 +778,7 @@ class TestResolutionLimits:
     @pytest.mark.parametrize("q, m, n, error", [(4, 6, 10**30, None), (32767, 1, 40, None), (10**30, 1, 40, "column 6")],
                              ids=["n=10^30", "q=32767", "q=10^30"])
     def test_config_load_does_not_build_the_layout(self, monkeypatch, q, m, n, error):
-        # Any n and q load, or fail on a radix, without an O(n) or O(q) layout.
+        # Any n, and q up to the int16 cap, load, or fail on a radix, without an O(n) or O(q) layout.
         def no_layout(*args):
             raise AssertionError("the config built the layout")
 
