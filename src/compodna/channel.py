@@ -43,8 +43,7 @@ LANE_BREAK = 1
 LANE_SAMPLE = 2
 LANE_MESSAGE = 3
 
-# Draws or aligned bases per vectorized block. This bounds every stage's working set but
-# synthesis's: its tiled base limits take (q - 1) * k * _BLOCK slots, k slots a word.
+# Draws or aligned bases per vectorized block. This bounds every stage's working set.
 _BLOCK = 1 << 14
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
@@ -272,11 +271,11 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
             rest = v // m
             slots[:, d], v = v - rest * m, rest
         slots[:, k - 1] = v
-        tiled = np.tile(limits, rows) if lo == 0 else tiled  # the first block is the largest
-        above = np.zeros(slots.size, dtype=np.int8 if len(limits) < 128 else np.int16)  # one flat pass per bound
-        for limit in tiled:
-            above += slots.ravel() >= limit[: slots.size]
-        np.add(above.reshape(rows, -1)[:, :n], np.int16(1), out=strands[lo : lo + rows])
+        grid = slots.reshape(rows, -1)
+        above = np.zeros(grid.shape, dtype=np.int8 if len(limits) < 128 else np.int16)  # one pass per bound
+        for limit in limits:
+            above += grid >= limit
+        np.add(above[:, :n], np.int16(1), out=strands[lo : lo + rows])
     return strands
 
 
@@ -562,9 +561,12 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     q, n = params.q, params.n
     if count_table.shape != (q, n) or count_table.dtype.kind not in "iu":
         raise ValueError(f"count table must be a ({q}, {n}) integer array, got {count_table.dtype} {count_table.shape}")
+    if (count_table < 0).any():
+        j = (count_table < 0).any(axis=0).argmax() + 1
+        raise ValueError(f"count table column {j}: counts must be nonnegative, got {count_table[:, j - 1].tolist()}")
     lay = layout(params)
     weights = np.where(lay.allowed, np.where(lay.fixed, 1, count_table), 0)
-    bare = np.flatnonzero(weights.sum(axis=0) == 0)
+    bare = np.flatnonzero(~weights.any(axis=0))  # not a sum, which may pass int64
     if len(bare):
         j = bare[0] + 1
         raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")

@@ -153,7 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             config = _load_config(entry, args, env_seed)
             report = channel.run_experiment(config, workers=args.workers)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             print(f"error: config {index}: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -280,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, OSError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

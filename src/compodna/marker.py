@@ -14,7 +14,7 @@ one table.
 Column indices and base indices are 1-based throughout, matching the
 construction's arithmetic (breaker columns are exactly the j with
 (j + 2) mod ell == 0 inside the data region); only the layout's
-allowed-base tuples are 0-based, indexing a column's counts.
+allowed-base mask is 0-based, its row b - 1 being base b.
 """
 
 from __future__ import annotations
@@ -85,18 +85,19 @@ class MarkerCodeParams:
         return (self.anchor_base,) + (self.marker_base,) * self.ell + (self.anchor_base,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayoutMap:
-    """Each column's role and the 0-based bases it may weigh, column 1 first.
+    """Each column's role and the bases it may weigh, column 1 first.
 
-    A role is "anchor", "marker", "breaker" or "free". Every column is a
-    composition of M over its allowed bases; an anchor or marker column
-    has one, so its only value is full weight on it.
+    A role is "anchor", "marker", "breaker" or "free". `allowed` is a read-only
+    (q, n) mask: allowed[b - 1, j - 1] when column j may weigh base b. Every
+    column is a composition of M over its allowed bases; an anchor or marker
+    column has one, so its only value is full weight on it.
     """
 
     alphabet: AlphabetParams
     roles: tuple[str, ...]
-    bases: tuple[tuple[int, ...], ...]
+    allowed: np.ndarray
     radices: tuple[int, ...]  # values per column: C(M+k-1, k-1) for k allowed bases
 
     def _positions(self, *roles: str) -> list[int]:
@@ -120,11 +121,6 @@ class LayoutMap:
         return self._positions("breaker", "free")
 
     @functools.cached_property
-    def allowed(self) -> np.ndarray:
-        """(q, n) mask of the bases each column may weigh."""
-        return np.array([[b in bases for bases in self.bases] for b in range(self.alphabet.q)])
-
-    @functools.cached_property
     def fixed(self) -> np.ndarray:
         """(n,) mask of the anchor and marker columns, whose one value is full weight on their base."""
         return np.array([role in ("anchor", "marker") for role in self.roles])
@@ -140,20 +136,20 @@ def layout(params: MarkerCodeParams) -> LayoutMap:
     marker_pattern(); breakers are the data columns j with
     (j + 2) mod ell == 0; the rest of the data is free.
     """
-    q, ell, span = params.q, params.ell, params.ell + 2
-    allowed = {
-        "anchor": (params.anchor_base - 1,),
-        "marker": (params.marker_base - 1,),
-        "breaker": tuple(b for b in range(q) if b != params.marker_base - 1),
-        "free": tuple(range(q)),
+    ell, span, bases = params.ell, params.ell + 2, np.arange(1, params.q + 1)
+    masks = {
+        "anchor": bases == params.anchor_base,
+        "marker": bases == params.marker_base,
+        "breaker": bases != params.marker_base,
+        "free": bases > 0,
     }
-    radix = {role: _radix(params.M, len(bases)) for role, bases in allowed.items()}
+    radix = {role: _radix(params.M, int(mask.sum())) for role, mask in masks.items()}
     block = ["anchor" if base == params.anchor_base else "marker" for base in params.marker_pattern()]
     data = [_data_role(j, ell) for j in range(span + 1, params.n - span + 1)]
     roles = tuple(block + data + block)
-    return LayoutMap(
-        params.alphabet, roles, tuple(map(allowed.__getitem__, roles)), tuple(map(radix.__getitem__, roles))
-    )
+    allowed = np.column_stack([masks[role] for role in roles])
+    allowed.flags.writeable = False
+    return LayoutMap(params.alphabet, roles, allowed, tuple(map(radix.__getitem__, roles)))
 
 
 def _data_role(j: int, ell: int) -> str:
@@ -201,7 +197,8 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     m = params.M
     counts = np.zeros((params.q, params.n), dtype=_count_dtype(m))
     # The transposed mask lists every column's allowed bases in order, column by column.
-    counts.T[lay.allowed.T] = [c for s, bases in zip(symbols, lay.bases) for c in _unrank_composition(s, len(bases), m)]
+    parts = lay.allowed.sum(axis=0).tolist()
+    counts.T[lay.allowed.T] = [c for s, k in zip(symbols, parts) for c in _unrank_composition(s, k, m)]
     return CompositeMatrix(counts, params.alphabet)
 
 
@@ -253,8 +250,8 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     check = is_valid_codeword(codeword, params)
     if not check:
         raise InvalidCodewordError("; ".join(check.violations))
-    lay, columns = layout(params), codeword.counts.T.tolist()
-    return [_rank_composition([columns[j - 1][b] for b in lay.bases[j - 1]]) for j in lay.data_positions()]
+    lay, counts = layout(params), codeword.counts
+    return [_rank_composition(counts[lay.allowed[:, j - 1], j - 1].tolist()) for j in lay.data_positions()]
 
 
 def _breaker_cost(alphabet: AlphabetParams) -> float:

@@ -306,16 +306,17 @@ def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
 
     A column of sum w > 0 gets the floors x * total // w, plus a unit at each of
     its total - sum(floors) largest remainders x * total % w, ties to the lowest
-    row; a zero weight never gets one. Products are int64 where they fit.
+    row; a zero weight never gets one. Sums and products are int64 below
+    max(x) * q * total = 2^63, and Python ints from there on.
     """
-    sums = weights.sum(axis=0)
-    exact = np.int64 if int(sums.max()) * max(total, 1) < 1 << 63 else object
-    scaled, sums = weights.astype(exact) * total, sums.astype(exact)
+    exact = np.int64 if int(weights.max()) * len(weights) * max(total, 1) < 1 << 63 else object
+    scaled, sums = weights.astype(exact) * total, weights.sum(axis=0, dtype=exact)
     floors = scaled // sums
-    # A row's rank in its column: the rows ahead of it, by larger remainder, then lower row.
-    rems, lower = scaled - floors * sums, np.tri(len(weights), k=-1, dtype=bool)[:, :, None]
-    ranks = ((rems[None] > rems[:, None]) | (rems[None] == rems[:, None]) & lower).sum(axis=1)
-    return floors + (ranks < total - floors.sum(axis=0))
+    # Each column's rows by larger remainder, then lower row: a stable sort of minus the remainders.
+    order = np.argsort(floors * sums - scaled, axis=0, kind="stable")
+    units = np.zeros(weights.shape, dtype=bool)
+    np.put_along_axis(units, order, np.arange(len(weights))[:, None] < total - floors.sum(axis=0), axis=0)
+    return floors + units
 
 
 def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int]:

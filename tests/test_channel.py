@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,7 +397,7 @@ def float_estimate(count_table, params):
     reference wherever no exact tie makes the floats' rounding decide."""
     lay, m = layout(params), params.M
     out = np.zeros((params.q, params.n), dtype=np.int64)
-    for j, (role, bases) in enumerate(zip(lay.roles, lay.bases)):
+    for j, (role, bases) in enumerate(zip(lay.roles, map(np.flatnonzero, lay.allowed.T))):
         weights = [float(count_table[b, j]) for b in bases]
         if role in ("anchor", "marker"):
             weights = [1.0]
@@ -412,7 +414,7 @@ def exact_tie_columns(count_table, params):
     lay = layout(params)
     tied = set()
     for j in lay.data_positions():
-        x = [int(count_table[b, j - 1]) for b in lay.bases[j - 1]]
+        x = [int(count_table[b, j - 1]) for b in np.flatnonzero(lay.allowed[:, j - 1])]
         remainders = [v * params.M % sum(x) for v in x if v * params.M % sum(x)]
         if len(set(remainders)) < len(remainders):
             tied.add(j - 1)
@@ -428,7 +430,7 @@ class TestEstimateMatrix:
         table = np.array(data.draw(st.lists(cells, min_size=q * params.n, max_size=q * params.n)))
         table = table.reshape(q, params.n)
         lay = layout(params)
-        assume(all(table[list(lay.bases[j - 1]), j - 1].sum() > 0 for j in lay.data_positions()))
+        assume(all(table[lay.allowed[:, j - 1], j - 1].sum() > 0 for j in lay.data_positions()))
         estimate = np.transpose([col.counts for col in estimate_matrix(table, params).columns])
         differ = set(np.flatnonzero((estimate != float_estimate(table, params)).any(axis=0)).tolist())
         assert differ <= exact_tie_columns(table, params)
@@ -445,6 +447,22 @@ class TestEstimateMatrix:
         # Integer apportionment would truncate float weights.
         with pytest.raises(ValueError, match=r"count table must be a \(4, 30\) integer array"):
             estimate_matrix(table, MarkerCodeParams(alphabet=DNA, n=30, ell=3))
+
+    @pytest.mark.parametrize("column", [(3, -3, 0, 0), (5, -1, 2, 2)])
+    def test_rejects_a_negative_count_naming_its_column(self, column):
+        # Not a missing-coverage error, nor one about the estimate's own column.
+        table = np.ones((4, 30), dtype=np.int64)
+        table[:, 5] = column
+        message = re.escape(f"count table column 6: counts must be nonnegative, got {list(column)}")
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            estimate_matrix(table, MarkerCodeParams(alphabet=DNA, n=30, ell=3))
+        assert not isinstance(info.value, ZeroCoverageError)
+
+    def test_column_sum_past_int64_is_apportioned_exactly(self):
+        # Free column 6 weighs its four bases 2^62 each: their sum 2^64 wraps int64 to 0.
+        table = np.ones((4, 30), dtype=np.int64)
+        table[:, 5] = 2**62
+        assert estimate_matrix(table, MarkerCodeParams(alphabet=DNA, n=30, ell=3)).columns[5].counts == (2, 2, 1, 1)
 
     def test_noiseless_high_coverage_recovers_exactly(self):
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
@@ -797,6 +815,37 @@ class TestResolutionLimits:
         params = MarkerCodeParams(alphabet=AlphabetParams(q=2, M=2**63 - 1), n=20, ell=2)
         assert max(message_radices(params)) == 2**63
         assert all(0 <= symbol < 2**63 for symbol in random_message(params, 1))
+
+
+class TestMemoryLinearInQ:
+    """Every q the strands hold runs in memory linear in q * n: no stage compares the
+    bases of a column pairwise or copies the base limits once per strand."""
+
+    @staticmethod
+    def _traced(call):
+        """call()'s result and the peak of the memory traced while it ran."""
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_synthesis_and_estimation_stay_small_at_q_1024(self):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=1024, M=2), n=40, ell=3)
+        codeword = construct_codeword(random_message(params, 1), params)
+        strands, peak = self._traced(lambda: synthesize(codeword, 2000, seed=1))
+        assert peak < 8 << 20
+        table = align_pool(strands, break_strands(40, PerBond(0.01), 2000, seed=1), params).count_table
+        estimate, peak = self._traced(lambda: estimate_matrix(table, params))
+        assert peak < 8 << 20
+        assert estimate == codeword
+
+    def test_run_experiment_at_q_32767(self):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=13, ell=3)
+        config = ChannelConfig(params, 8, PerBond(0.01), None, False, 1)
+        report, peak = self._traced(lambda: run_experiment(config))
+        assert report.exact_recovery
+        assert peak < 64 << 20
 
 
 class TestMessageDraw:

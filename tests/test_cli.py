@@ -464,6 +464,20 @@ class TestSimulate:
         assert err.startswith("error: config 0: bond break probability must be in [0, 1]")
         assert len(err.splitlines()) == 1
 
+    def test_an_allocation_past_any_address_space_is_an_error_line(self, capsys, tmp_path):
+        # 10^15 strands of 100 int16 bases are about 177 PiB: the allocation is refused at
+        # once, and the sweep runs the next config.
+        huge = dict(BASE_CONFIG, code_params=dict(BASE_CONFIG["code_params"], n=100), strand_count=10**15, seed=1)
+        path = self._write_config(tmp_path, **huge)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        path.write_text(json.dumps([huge, dict(BASE_CONFIG, seed=2)]))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep")
+        assert code == 1
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["2"]
+        assert err.startswith("error: config 0: ") and len(err.splitlines()) == 1
+
     def test_huge_p_error_names_the_range_briefly(self, capsys, tmp_path):
         # 10**5000 is past the 4300-digit int-to-str limit of this process.
         path = tmp_path / "config.json"
