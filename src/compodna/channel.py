@@ -34,7 +34,7 @@ import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, _check_radices, construct_codeword, layout, message_radices
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
-from .symbols import _apportion
+from .symbols import _apportion, _count_dtype
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
 # and the message draw each get a disjoint key space.
@@ -43,8 +43,14 @@ LANE_BREAK = 1
 LANE_SAMPLE = 2
 LANE_MESSAGE = 3
 
-# Draws or aligned bases per vectorized block. This bounds every stage's working set.
+# Draws or aligned bases per vectorized block. This bounds every stage's working set but one,
+# synthesis's chunk tables, which are sized by n * M^c (_chunk_tables) and capped by _TABLE_CAP.
 _BLOCK = 1 << 14
+# Entries in all of synthesis's chunk tables together: n = 1000 at M = 6 needs 326,592 at c = 4.
+_TABLE_CAP = 1 << 19
+# Below this q, q - 1 compare passes a slot cost less than a lookup of chunks narrower than 4
+# digits, or of a short last chunk (synthesize ratios up to 1.2 at q = 16, all below 1 at 24).
+_TABLE_Q = 24
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
 _COLUMN_COUNT_SHARE = 0.65
@@ -252,31 +258,83 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     first m strands are the same whatever `count` is. Slot s draws base b when
     cum_(b-1) <= s < cum_b (cum_b counts bases 1..b): each base is drawn with
     probability count / M to within 2^-32 (README, Determinism), a zero-count base never.
+    The bases are read c slots at a time from per-column chunk tables (_chunk_tables), or
+    where those do not pay, by q - 1 compares a slot; both give this same draw.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
     _check_base_count(matrix.params.q)
-    width, big, slot = -(-n // k), np.uint64(m**k), np.min_scalar_type(m)
-    limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
-    limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
-    strands = np.empty((count, n), dtype=np.int16)
+    width, big = -(-n // k), np.uint64(m**k)
     words, step = substream(seed, LANE_SYNTH).bit_generator, max(1, _BLOCK // width)
+    c, table = _chunk_tables(matrix, k, width)
+    if c:
+        chunk, chunks = m**c, -(-k // c)
+        # Each chunk position's first entry, for a whole block: one flat add, not one per row.
+        offsets = np.tile(np.arange(len(table), step=chunk).reshape(width, chunks), (min(step, count), 1, 1))
+    else:
+        slot = np.min_scalar_type(m)
+        limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
+        limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
+    strands = np.empty((count, n), dtype=np.int16)
     for lo in range(0, count, step):
         rows = min(step, count - lo)
         r = words.random_raw(rows * width)  # Philox carries a partial counter block to the next call
         v = (((r >> 32) * big + ((r & 0xFFFFFFFF) * big >> 32)) >> 32).astype(np.uint32)  # < 2^64 throughout
-        slots = np.empty((len(v), k), dtype=slot)
-        for d in range(k - 1):
-            rest = v // m
-            slots[:, d], v = v - rest * m, rest
-        slots[:, k - 1] = v
-        grid = slots.reshape(rows, -1)
-        above = np.zeros(grid.shape, dtype=np.int8 if len(limits) < 128 else np.int16)  # one pass per bound
-        for limit in limits:
-            above += grid >= limit
-        np.add(above[:, :n], np.int16(1), out=strands[lo : lo + rows])
+        if c:
+            # Chunk j of word w, v's digits j*c .. j*c + c - 1, is an entry of position (w, j)'s table.
+            idx = np.empty((rows, width, chunks), dtype=np.intp)
+            v = v.reshape(rows, width)
+            for j in range(chunks - 1):
+                rest = v // chunk
+                idx[:, :, j], v = v - rest * chunk, rest
+            idx[:, :, -1] = v
+            idx += offsets[:rows]
+            lanes = table.take(idx).view(f"<u{table.itemsize // c}").reshape(rows, width, -1)  # c bases an entry
+            strands[lo : lo + rows] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
+        else:
+            slots = np.empty((len(v), k), dtype=slot)
+            for d in range(k - 1):
+                rest = v // m
+                slots[:, d], v = v - rest * m, rest
+            slots[:, k - 1] = v
+            grid = slots.reshape(rows, -1)
+            above = np.zeros(grid.shape, dtype=np.int8 if len(limits) < 128 else np.int16)  # one pass per bound
+            for limit in limits:
+                above += grid >= limit
+            np.add(above[:, :n], np.int16(1), out=strands[lo : lo + rows])
     return strands
+
+
+def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Optional[np.ndarray]]:
+    """Synthesis's lookup tables and c, the digits a chunk; (0, None) where the compare passes stay.
+
+    Each of a strand's width * ceil(k / c) chunk positions has M^c entries, little-endian. Entry x
+    at word w, chunk j packs the bases that x's digits e = 0 .. c - 1 draw at columns w*k + j*c + e,
+    one a lane, lowest lane first: byte lanes, or two-byte lanes from q = 256 on. A lane past column
+    n, or past the word's k digits (a short last chunk reads digit 0 there), holds any base and is
+    dropped. The tables are outer sums of each column's slot->base map (bases 1..q, each repeated
+    by its count), so no pass runs over q.
+
+    c is the largest of 4, 2, 1 with c <= k and all tables under _TABLE_CAP entries. Below q =
+    _TABLE_Q the q - 1 compare passes stay, unless every chunk is a whole one of 4 digits.
+    """
+    (q, n), m = matrix.counts.shape, matrix.params.M
+    c = next((c for c in (4, 2, 1) if c <= k and width * -(-k // c) * m**c < _TABLE_CAP), 0)
+    if not c or (q < _TABLE_Q and (c, k % c) != (4, 0)):
+        return 0, None
+    chunks = -(-k // c)
+    slot_map = np.ones((width * k, m), dtype=np.uint16)
+    slot_map[:n] = np.repeat(np.tile(np.arange(1, q + 1, dtype=np.uint16), n), matrix.counts.T.ravel()).reshape(n, m)
+    bases = np.ones((width, chunks * c, m), dtype=np.uint16)
+    bases[:, :k] = slot_map.reshape(width, k, m)
+    bases = bases.reshape(width * chunks, c, m)
+    lane = 1 if q < 256 else 2
+    table = np.zeros((len(bases), 1), dtype=f"u{lane * c}")
+    for e in range(c):  # digit e leads the entries built so far: entry x = sum of digit_e * M^e
+        shifted = bases[:, e, :, None].astype(table.dtype) << 8 * lane * e
+        table = (shifted + table[:, None, :]).reshape(len(bases), -1)
+    return c, table.astype(f"<u{lane * c}", copy=False).ravel()
 
 
 def _break_width(model: BreakModel, n: int) -> int:
@@ -495,12 +553,16 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
     matrix, by blocks of rows, less the bases in the gaps between the ranges, gathered row by row."""
     rows, n = strands.shape
     counts = table.reshape(-1, n)
-    # Smaller reduce calls cost more than they save; a block's counts are summed in int16, so its
-    # rows stop at 32,767.
-    step = min(max(1, 8 * _BLOCK // n), np.iinfo(np.int16).max)
-    for lo in range(0, rows, step):
-        for b in range(1, len(counts)):
-            counts[b] += (strands[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int16)
+    # A reduce's inner loop runs along a row, so `fold` rows laid side by side (about _BLOCK / 4
+    # bases) make one wide row; the rows % fold left over are counted as they are. Smaller reduce
+    # calls cost more than they save; a block's counts are summed in int16, so its rows stop at 32,767.
+    fold = max(1, _BLOCK // 4 // n)
+    wide = rows - rows % fold
+    for part in strands[:wide].reshape(-1, fold * n), strands[wide:]:
+        step = min(max(1, 8 * _BLOCK // part.shape[1]), np.iinfo(np.int16).max)
+        for lo in range(0, len(part), step):
+            for b in range(1, len(counts)):
+                counts[b] += (part[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int16).reshape(-1, n).sum(axis=0)
     counts[0] = rows - counts[1:].sum(axis=0)
     gaps = np.concatenate(([0], edges, [strands.size])).reshape(-1, 2)
     gaps = gaps[gaps[:, 0] < gaps[:, 1]]
@@ -556,7 +618,8 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     Marker columns take their single value. Each data column apportions M
     over its allowed bases in proportion to their counts (largest remainders,
     exactly, ties to the lower base), so a breaker column never weighs the
-    marker base. All columns are apportioned in one pass over the table.
+    marker base. Columns are apportioned in blocks of about `_BLOCK` counts,
+    so the working set beside the table and the estimate stays small at any q.
     """
     q, n = params.q, params.n
     if count_table.shape != (q, n) or count_table.dtype.kind not in "iu":
@@ -564,13 +627,17 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     if (count_table < 0).any():
         j = (count_table < 0).any(axis=0).argmax() + 1
         raise ValueError(f"count table column {j}: counts must be nonnegative, got {count_table[:, j - 1].tolist()}")
-    lay = layout(params)
-    weights = np.where(lay.allowed, np.where(lay.fixed, 1, count_table), 0)
-    bare = np.flatnonzero(~weights.any(axis=0))  # not a sum, which may pass int64
-    if len(bare):
-        j = bare[0] + 1
-        raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
-    return CompositeMatrix(_apportion(weights, params.M), params.alphabet)
+    lay, counts = layout(params), np.empty((q, n), dtype=_count_dtype(params.M))
+    step = max(1, _BLOCK // q)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        weights = np.where(lay.allowed[:, block], np.where(lay.fixed[block], 1, count_table[:, block]), 0)
+        bare = np.flatnonzero(~weights.any(axis=0))  # not a sum, which may pass int64
+        if len(bare):
+            j = lo + bare[0] + 1
+            raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
+        counts[:, block] = _apportion(weights, params.M)
+    return CompositeMatrix(counts, params.alphabet)
 
 
 @dataclass(frozen=True)

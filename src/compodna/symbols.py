@@ -259,10 +259,7 @@ def _rank_composition(counts: Sequence[int]) -> int:
     return rank
 
 
-# Memoized: an encoder unranks the same few symbols column after column (84 free
-# and 56 breaker symbols at q = 4, M = 6). Bounded, since at a large M few repeat.
-@functools.lru_cache(maxsize=4096)
-def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
+def _unrank_bars(index: int, parts: int, total: int) -> tuple[int, ...]:
     # Bar j is the largest s with C(s, j) <= r, bisected on [j - 1, hi): C(j - 1, j) = 0 <= r,
     # and r < C(hi, j) for hi = bar j + 1 (for the top bar, total + parts - 1: r < Q).
     r, hi = index, total + parts - 1
@@ -280,6 +277,21 @@ def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
     # Each count is the gap between consecutive bars among total + parts - 1 slots.
     edges = [-1, *subset, total + parts - 1]
     return tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+# An encoder unranks the same few symbols column after column (84 free and 56 breaker
+# symbols at q = 4, M = 6), so they are memoized. The memo is bounded by the parts it
+# holds, not by its entries: it keeps 4096 symbols of at most 256 parts, 2^20 parts in
+# all, and a symbol of more parts (q > 256, where few repeat) is unranked afresh.
+_unrank_memo = functools.lru_cache(maxsize=4096)(_unrank_bars)
+
+
+@functools.wraps(_unrank_bars)
+def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
+    return (_unrank_memo if parts <= 256 else _unrank_bars)(index, parts, total)
+
+
+_unrank_composition.cache_info = _unrank_memo.cache_info  # the memo's statistics, as lru_cache gives them
 
 
 def enumerate_symbols(params: AlphabetParams) -> list[CompositeSymbol]:

@@ -840,6 +840,15 @@ class TestMemoryLinearInQ:
         assert peak < 8 << 20
         assert estimate == codeword
 
+    def test_estimation_at_q_32767_stays_within_three_tables(self):
+        # Apportioned in column blocks: beside the table, only the estimate is held whole.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=100, ell=3)
+        codeword = construct_codeword(random_message(params, 1), params)
+        table = np.array(codeword.counts)  # one aligned base a column, the codeword's own
+        estimate, peak = self._traced(lambda: estimate_matrix(table, params))
+        assert estimate == codeword
+        assert peak < 3 * table.nbytes
+
     def test_run_experiment_at_q_32767(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=13, ell=3)
         config = ChannelConfig(params, 8, PerBond(0.01), None, False, 1)

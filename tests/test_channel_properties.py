@@ -399,6 +399,16 @@ class TestInt16ColumnCounts:
         channel._count_by_columns(strands, np.array([0, strands.size]), table)
         assert (table.reshape(4, 10) == np.array([[0], [0], [40_000], [0]])).all()
 
+    # At n = 25 and _BLOCK = 4000, 40 rows fold into one wide row, and 32 wide rows make a
+    # block: none, part of one, and three blocks of wide rows, each with and without leftovers.
+    @pytest.mark.parametrize("rows", [0, 39, 40, 123, 2800, 2817])
+    def test_folded_rows_and_leftover_rows(self, rows, monkeypatch):
+        monkeypatch.setattr(channel, "_BLOCK", 4000)
+        strands = np.random.default_rng(rows).integers(1, 5, size=(rows, 25)).astype(np.int16)
+        table = np.zeros(4 * 25, dtype=np.int64)
+        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        assert (table.reshape(4, 25) == [(strands == b).sum(axis=0) for b in range(1, 5)]).all()
+
 
 class TestFloydDraws:
     @PROPERTY
@@ -486,7 +496,11 @@ class TestSynthesisMatchesScalarReference:
 
     # (q, M, n, k): k = 11 slots a word at M = 7, so n = 19 takes W = 2 words and 3
     # padding slots; M = 70000 and M = 2^32 give one slot a word; M = 1 gives 32 slots of 0.
-    CASES = [(4, 7, 19, 11), (4, 6, 30, 12), (3, 70000, 13, 1), (2, 2**32, 9, 1), (4, 1, 40, 32)]
+    # Chunk tables: q = 300 packs bases past 255 in two-byte lanes; M = 10 reads k = 9 digits
+    # in chunks of 2 (n = 160 puts chunks of 4 past the table cap), the last one short; and
+    # M = 5242 and 5243 at n = 100 lie on either side of the cap, one-digit chunks or none.
+    CASES = [(4, 7, 19, 11), (4, 6, 30, 12), (3, 70000, 13, 1), (2, 2**32, 9, 1), (4, 1, 40, 32),
+             (300, 2, 40, 32), (24, 10, 160, 9), (24, 5242, 100, 2), (24, 5243, 100, 2)]
 
     def test_rows_read_their_words(self, monkeypatch):
         count, seed = 200, 9

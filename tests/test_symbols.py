@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,15 @@ class TestRankUnrank:
         for k in indices * 2:  # the second pass reads the cache
             assert _unrank_composition(k, q, m) == _unrank_composition.__wrapped__(k, q, m)
         assert _unrank_composition.cache_info().maxsize is not None
+
+    def test_memo_holds_at_most_2_to_the_20_parts(self):
+        # 200 symbols at q = 32,767 have 6.5 M parts; a memo may keep at most 2^20 of them.
+        params = AlphabetParams(q=32767, M=1)
+        held = 0
+        for counts in [unrank_symbol(index, params).counts for index in range(200)]:
+            # The list, the loop and getrefcount hold three references; a memo's would be a fourth.
+            held += len(counts) if sys.getrefcount(counts) > 3 else 0
+        assert held <= 1 << 20
 
     def test_out_of_range_index(self):
         params = AlphabetParams(q=4, M=6)
