@@ -17,9 +17,10 @@ of the matrix is counted as its column counts less the gaps (align_pool).
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
 and the message draw each read their own lane: the stream keyed by
-(seed, lane). Strand i's row of w break doubles starts at counter block
-i * ceil(w / 4) of its lane (four 64-bit words a block), and its synthesis
-words at word i * ceil(n / k), k base-M slots a word (see synthesize). So
+(seed, lane). Synthesis and breaking read theirs in rows through one reader
+(_lane_rows): strand i's row of w break doubles starts at counter block
+i * ceil(w / 4) (four 64-bit words a block), and its synthesis words at
+word i * ceil(n / k), k base-M slots a word (see synthesize). So
 strand i reads the same draws whatever the strand count or block size, and
 results are identical under any execution order.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,14 +72,13 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _lane_rows(seed: int, lane: int, count: int, width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row offset, contiguous block of rows) covering `count` rows: row i holds
-    strand i's `width` doubles from counter block i * ceil(width / 4), then its padding."""
-    stride, gen = -(-width // 4) * 4, substream(seed, lane)
+def _lane_rows(draw: Callable[[int], np.ndarray], count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row offset, block of rows) covering `count` rows, max(1, _BLOCK // stride) rows a block:
+    row i is draws i * stride .. i * stride + stride - 1 of the lane that `draw(size)` reads on."""
     step = max(1, _BLOCK // max(stride, 1))
     for lo in range(0, count, step):
         rows = min(step, count - lo)
-        yield lo, gen.random(rows * stride).reshape(rows, stride)
+        yield lo, draw(rows * stride).reshape(rows, stride)
 
 
 @dataclass(frozen=True)
@@ -258,56 +258,48 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     first m strands are the same whatever `count` is. Slot s draws base b when
     cum_(b-1) <= s < cum_b (cum_b counts bases 1..b): each base is drawn with
     probability count / M to within 2^-32 (README, Determinism), a zero-count base never.
-    The bases are read c slots at a time from per-column chunk tables (_chunk_tables), or
-    where those do not pay, by q - 1 compares a slot; both give this same draw.
+    A block's v is split once into ceil(k / c) chunks of c digits, each looked up whole in its
+    position's table (_chunk_tables), or at c = 1 compared with its column's q - 1 limits: one draw.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
     _check_base_count(matrix.params.q)
     width, big = -(-n // k), np.uint64(m**k)
-    words, step = substream(seed, LANE_SYNTH).bit_generator, max(1, _BLOCK // width)
     c, table = _chunk_tables(matrix, k, width)
-    if c:
-        chunk, chunks = m**c, -(-k // c)
-        # Each chunk position's first entry, for a whole block: one flat add, not one per row.
-        offsets = np.tile(np.arange(len(table), step=chunk).reshape(width, chunks), (min(step, count), 1, 1))
-    else:
-        slot = np.min_scalar_type(m)
-        limits = np.zeros((matrix.params.q - 1, width * k), dtype=slot)  # padding slots, any base, are dropped
+    chunk, chunks = m**c, -(-k // c)
+    if table is None:
+        digits = np.min_scalar_type(m)
+        limits = np.zeros((matrix.params.q - 1, width * k), dtype=digits)  # padding slots, any base, are dropped
         limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
+    else:
+        # Each chunk position's first entry, tiled over a whole block of _lane_rows: one flat add.
+        first, digits = np.arange(len(table), step=chunk).reshape(width, chunks), np.intp
+        offsets = np.tile(first, (min(count, max(1, _BLOCK // width)), 1, 1))
     strands = np.empty((count, n), dtype=np.int16)
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        r = words.random_raw(rows * width)  # Philox carries a partial counter block to the next call
+    for lo, r in _lane_rows(substream(seed, LANE_SYNTH).bit_generator.random_raw, count, width):
+        rows = len(r)
         v = (((r >> 32) * big + ((r & 0xFFFFFFFF) * big >> 32)) >> 32).astype(np.uint32)  # < 2^64 throughout
-        if c:
-            # Chunk j of word w, v's digits j*c .. j*c + c - 1, is an entry of position (w, j)'s table.
-            idx = np.empty((rows, width, chunks), dtype=np.intp)
-            v = v.reshape(rows, width)
-            for j in range(chunks - 1):
-                rest = v // chunk
-                idx[:, :, j], v = v - rest * chunk, rest
-            idx[:, :, -1] = v
-            idx += offsets[:rows]
-            lanes = table.take(idx).view(f"<u{table.itemsize // c}").reshape(rows, width, -1)  # c bases an entry
-            strands[lo : lo + rows] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
-        else:
-            slots = np.empty((len(v), k), dtype=slot)
-            for d in range(k - 1):
-                rest = v // m
-                slots[:, d], v = v - rest * m, rest
-            slots[:, k - 1] = v
-            grid = slots.reshape(rows, -1)
+        idx = np.empty((rows, width, chunks), dtype=digits)  # chunk j of word w: v's digits j*c .. j*c + c - 1
+        for j in range(chunks - 1):
+            rest = v // chunk
+            idx[:, :, j], v = v - rest * chunk, rest
+        idx[:, :, -1] = v
+        if table is None:
+            grid = idx.reshape(rows, -1)
             above = np.zeros(grid.shape, dtype=np.int8 if len(limits) < 128 else np.int16)  # one pass per bound
             for limit in limits:
                 above += grid >= limit
             np.add(above[:, :n], np.int16(1), out=strands[lo : lo + rows])
+        else:
+            idx += offsets[:rows]
+            lanes = table.take(idx).view(f"<u{table.itemsize // c}").reshape(rows, width, -1)  # c bases an entry
+            strands[lo : lo + rows] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
     return strands
 
 
 def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Optional[np.ndarray]]:
-    """Synthesis's lookup tables and c, the digits a chunk; (0, None) where the compare passes stay.
+    """Synthesis's lookup tables and c, the digits a chunk; (1, None) where the compare passes stay.
 
     Each of a strand's width * ceil(k / c) chunk positions has M^c entries, little-endian. Entry x
     at word w, chunk j packs the bases that x's digits e = 0 .. c - 1 draw at columns w*k + j*c + e,
@@ -322,7 +314,7 @@ def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Opt
     (q, n), m = matrix.counts.shape, matrix.params.M
     c = next((c for c in (4, 2, 1) if c <= k and width * -(-k // c) * m**c < _TABLE_CAP), 0)
     if not c or (q < _TABLE_Q and (c, k % c) != (4, 0)):
-        return 0, None
+        return 1, None
     chunks = -(-k // c)
     slot_map = np.ones((width * k, m), dtype=np.uint16)
     slot_map[:n] = np.repeat(np.tile(np.arange(1, q + 1, dtype=np.uint16), n), matrix.counts.T.ravel()).reshape(n, m)
@@ -396,7 +388,8 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     width = _break_width(model, n)
-    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in _lane_rows(seed, LANE_BREAK, count, width)]
+    lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
+    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]
     row = np.concatenate([row + lo for lo, row, _ in blocks])
     bond = np.concatenate([bond for _, _, bond in blocks])
     # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.
@@ -467,23 +460,10 @@ class AlignmentResult:
 
 
 def _marker_at(flat: np.ndarray, pos: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
-    """Whether flat[pos + c] == pattern[c] at every c; flat is contiguous, each window inside it.
-
-    A window is read as ceil(span / w) words of w bases each, the last one ending at the
-    window's end (it may overlap the one before): one strided view reads a word at every
-    base of flat. w is the largest power of two <= max(1, min(span, 8 // itemsize, flat.size)),
-    so a word is at most 64 bits (Lamport, "Multiple byte processing with full-word
-    instructions", CACM 1975). Each word is compared with the pattern's own bases in
-    flat's dtype, viewed as the same word type, so byte order does not matter.
-    """
+    """Whether flat[pos + c] == pattern[c] at every c (windows inside flat); column c takes pos from flat[c:]."""
     hit = np.ones(len(pos), dtype=bool)
-    span, size = len(pattern), flat.dtype.itemsize
-    w = 1 << (max(1, min(span, 8 // size, flat.size)).bit_length() - 1)
-    word = np.dtype(f"u{w * size}")
-    words = np.ndarray((flat.size - w + 1,), dtype=word, buffer=flat, strides=(size,))
-    keys = np.array(pattern, dtype=flat.dtype)
-    for c in [*range(0, span - w, w), span - w]:
-        hit &= words[pos + c] == keys[c : c + w].view(word)[0]
+    for c, base in enumerate(pattern):
+        hit &= flat[c:].take(pos) == base
     return hit
 
 
@@ -497,7 +477,7 @@ def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: 
     Prefixes and full strands anchor at column 1, suffixes at column n.
     """
     q, n, pattern, flat = params.q, params.n, params.marker_pattern(), bases.ravel()
-    if flat.dtype.kind not in "iu":  # a real would be truncated; _marker_at reads bases as machine words
+    if flat.dtype.kind not in "iu":  # a real passes the range check, but the gathers would truncate it
         raise ValueError(f"bases must be integers, got dtype {flat.dtype}")
     if flat.size and not 1 <= flat.min() <= flat.max() <= q:
         raise ValueError(f"bases must lie in 1..{q}, got {flat[(flat < 1) | (flat > q)][0]}")

@@ -126,10 +126,7 @@ class LayoutMap:
         return np.array([role in ("anchor", "marker") for role in self.roles])
 
 
-# Every encode, check, decode and estimate asks for the layout, which depends
-# only on the (frozen, immutable) params.
-@functools.lru_cache(maxsize=64)
-def layout(params: MarkerCodeParams) -> LayoutMap:
+def _build_layout(params: MarkerCodeParams) -> LayoutMap:
     """Column roles and allowed bases for the given parameters.
 
     The marker blocks occupy [1, ell+2] and [n-ell-1, n], laid out as
@@ -150,6 +147,16 @@ def layout(params: MarkerCodeParams) -> LayoutMap:
     allowed = np.column_stack([masks[role] for role in roles])
     allowed.flags.writeable = False
     return LayoutMap(params.alphabet, roles, allowed, tuple(map(radix.__getitem__, roles)))
+
+
+# Every encode, check, decode and estimate asks for the layout, which depends only on the (frozen)
+# params. The memo keeps layouts of at most 2^16 cells, so its 64 masks hold at most 4 MB at any q.
+_layout_memo = functools.lru_cache(maxsize=64)(_build_layout)
+
+
+@functools.wraps(_build_layout)
+def layout(params: MarkerCodeParams) -> LayoutMap:
+    return (_layout_memo if params.q * params.n <= 1 << 16 else _build_layout)(params)
 
 
 def _data_role(j: int, ell: int) -> str:

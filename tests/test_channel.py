@@ -304,7 +304,7 @@ class TestAlignAndCount:
 
     @pytest.mark.parametrize("dtype", [object, np.complex128])
     def test_rejects_bases_that_are_not_machine_numbers(self, dtype):
-        # The marker test reads bases as machine words of at most 64 bits.
+        # Bases must have an integer dtype: the count's gathers would truncate anything else.
         params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
         strand = np.array(synthesize(make_codeword(params), 1, seed=8)[0], dtype=dtype)
         with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}$"):

@@ -19,10 +19,16 @@ The laws:
 - a full PerBond(p) pool: with K ~ Binomial(n - 1, p) breaks a strand has
   one Full fragment if K = 0, one Prefix and one Suffix if K >= 1, and
   max(K - 1, 0) middle fragments; and data column j is counted iff the
-  strand has no break among bonds 1..j-1 or none among bonds j..n-1.
+  strand has no break among bonds 1..j-1 or none among bonds j..n-1;
+- estimation: a data column of composition x whose aligned coverage is c
+  receives Multinomial(c, x / M) bases, independently of every other
+  column given the breaks, so it is recovered with the exact probability
+  that the largest-remainder apportionment of such a draw gives x back.
 """
 
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -36,6 +42,7 @@ from compodna import (
     MarkerCodeParams,
     PerBond,
     construct_codeword,
+    estimate_matrix,
     layout,
     random_message,
     synthesize,
@@ -44,7 +51,7 @@ from compodna import channel
 from compodna.channel import align_pool, break_strands
 
 FAMILY_ALPHA = 1e-4
-STATISTICS = 13  # every chi-square statistic computed in this file
+STATISTICS = 16  # every chi-square statistic computed in this file
 ALPHA = FAMILY_ALPHA / STATISTICS
 
 DNA = AlphabetParams(q=4, M=6)
@@ -300,3 +307,96 @@ class TestPerBondFragmentLaws:
         covered = np.diag(both)
         covariance = both - np.outer(covered, covered)
         assert_fits(mahalanobis(observed - self.S * covered, covariance, self.S), len(cols))
+
+
+def realized_coverage(pool, n: int, span: int) -> np.ndarray:
+    """Each column's count of usable fragments over it, read off their positions: those longer
+    than a marker block that start at column 1 or end at column n."""
+    usable = ((pool.start == 1) | (pool.end == n)) & (pool.end - pool.start + 1 > span)
+    steps = np.bincount(pool.start[usable] - 1, minlength=n + 1) - np.bincount(pool.end[usable], minlength=n + 1)
+    return np.cumsum(steps)[:n]
+
+
+def recovery_chances(c: int, m: int, q: int, compositions) -> dict:
+    """P(recover | x, c) for each composition x: the exact chance that a Multinomial(c, x / M)
+    draw, apportioned to M by largest remainders with ties to the lower base, gives x back.
+
+    Every outcome y (c split over q bases, by stars and bars) is apportioned once, here and
+    not by the library, and its multinomial weight is summed over the outcomes giving x."""
+    bars = np.array(list(itertools.combinations(range(c + q - 1), q - 1))).reshape(-1, q - 1)
+    y = np.diff(np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), c + q - 1))), axis=1) - 1
+    floors, remainders = divmod(y * m, c)
+    # Bases by larger remainder, then lower base (the keys are distinct); the first M - sum(floors) get a unit.
+    rank = np.argsort(np.argsort(q * -remainders + np.arange(q), axis=1), axis=1)
+    apportioned = floors + (rank < m - floors.sum(axis=1, keepdims=True))
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, c + 1)))))
+    ways = np.exp(log_factorial[c] - log_factorial[y].sum(axis=1))
+    chances = {}
+    for x in compositions:
+        back = (apportioned == x).all(axis=1)
+        chances[x] = float((ways[back] * np.prod((np.array(x) / m) ** y[back], axis=1)).sum())
+    return chances
+
+
+class TestEstimateLaw:
+    """Whole pools on n = 40, ell = 3: the recovered data columns, grouped by (x, c), against
+    P(recover | x, c). A group is a Pearson cell of its own when its binomial variance is at
+    least 5; the others are pooled into one cell. A column of chance 0 or 1 must go that way."""
+
+    N, ELL = 40, 3
+
+    def _recoveries(self, model, strands, seeds):
+        """{(x, c): [columns, recovered]} over the data columns of one experiment a seed. The
+        aligned coverage must be the coverage the pool's positions give, at every column."""
+        params = MarkerCodeParams(alphabet=DNA, n=self.N, ell=self.ELL)
+        data, groups = np.flatnonzero(~layout(params).fixed), defaultdict(lambda: [0, 0])
+        for seed in seeds:
+            codeword = construct_codeword(random_message(params, seed), params)
+            pool = break_strands(self.N, model, strands, seed)
+            table = align_pool(synthesize(codeword, strands, seed), pool, params).count_table
+            coverage = table.sum(axis=0)
+            assert (coverage == realized_coverage(pool, self.N, self.ELL + 2)).all()
+            recovered = (estimate_matrix(table, params).counts == codeword.counts).all(axis=0)
+            for j in data:
+                group = groups[tuple(codeword.counts[:, j].tolist()), int(coverage[j])]
+                group[0] += 1
+                group[1] += int(recovered[j])
+        return groups
+
+    def _statistic(self, groups):
+        by_coverage = defaultdict(set)
+        for x, c in groups:
+            by_coverage[c].add(x)
+        chances = {(x, c): p for c, xs in by_coverage.items() for x, p in recovery_chances(c, DNA.M, DNA.q, xs).items()}
+        statistic, df, pooled = 0.0, 0, np.zeros(3)
+        for key, (columns, recovered) in groups.items():
+            p = chances[key]
+            if p in (0.0, 1.0):
+                assert recovered == columns * p, f"x, c = {key}: {recovered} of {columns} recovered, chance {p}"
+                continue
+            cell = np.array([recovered, columns * p, columns * p * (1 - p)])
+            if cell[2] >= 5:
+                statistic, df = statistic + (cell[0] - cell[1]) ** 2 / cell[2], df + 1
+            else:
+                pooled += cell
+        if pooled[2] > 0:
+            statistic, df = statistic + (pooled[0] - pooled[1]) ** 2 / pooled[2], df + 1
+        return statistic, df
+
+    def test_matches_a_separate_enumeration(self):
+        # x = (1, 2, 0, 3) at M = 6, as a separate enumeration over the three weighed bases gave them.
+        x = (1, 2, 0, 3)
+        got = [recovery_chances(c, DNA.M, DNA.q, [x])[x] for c in (10, 20, 60)]
+        assert got == pytest.approx([0.243, 0.370, 0.779], abs=5e-4)
+
+    def test_without_breaks(self):
+        # Every strand is one Full fragment: every data column's coverage is the strand count.
+        groups = self._recoveries(PerBond(p=0), 8, range(4000, 4200))
+        assert {c for _, c in groups} == {8}
+        assert_fits(*self._statistic(groups))
+
+    def test_per_bond_breaks(self):
+        assert_fits(*self._statistic(self._recoveries(PerBond(p=0.02), 10, range(5000, 5200))))
+
+    def test_one_break(self):
+        assert_fits(*self._statistic(self._recoveries(ExactlyT(t=1), 8, range(6000, 6200))))

@@ -1,7 +1,8 @@
 """Property tests of the array channel core: split invariance, the array
 classifier/counter against a per-fragment oracle, the column count against
 the gather, Floyd bond draws, the cut and synthesis cores against scalar
-references, block-size invariance, and run_experiment's pinned outputs."""
+references, block-size invariance, and the pinned outputs of synthesis, breaking and
+run_experiment."""
 
 import hashlib
 import itertools
@@ -27,6 +28,7 @@ from compodna import (
     classify_fragment,
     construct_codeword,
     message_radices,
+    random_message,
     run_experiment_traced,
     sample_fragments,
     substream,
@@ -351,8 +353,8 @@ def marker_at_by_bases(flat, pos, pattern):
 
 
 class TestMarkerWords:
-    """_marker_at reads each window as a few words of several bases; it must agree with the
-    per-base compare on every window, including one with only its last base wrong."""
+    """_marker_at must agree with the per-base reference on every window, including one with
+    only its last base wrong, and on windows that end at flat's last element."""
 
     @settings(max_examples=200, deadline=None)
     @given(ell=st.integers(1, 6), dtype=st.sampled_from([np.int16, np.int64]), size=st.integers(0, 60),
@@ -598,3 +600,35 @@ class TestRunExperimentPinned:
                             except ValueError as exc:
                                 digest.update(f"{type(exc).__name__}: {exc}".encode())
         assert digest.hexdigest() == self.PINNED
+
+
+class TestStreamsPinned:
+    """synthesize's and break_strands' outputs at seed 1, hashed and pinned: the table lookups
+    (byte and two-byte lanes), the compare passes (M = 64 and 70,000) and all three break models."""
+
+    SYNTHESIS = [
+        ((4, 6, 100), 10_000, "e0f96b5fb357d114feb3b353666f0c42a7bdef3171ed8f9873f8a731e78939c3"),
+        ((1024, 2, 40), 2_000, "3f99ad317688e1facbf0e83338144def96e2abd714c2494fccb4f6eeffa7a36f"),
+        ((32767, 1, 13), 8, "bbbfe5d1db357079a8fa8d458ed2a0ca5e9c0e536e67f1a644974ff88f7f64ec"),
+        ((4, 64, 1000), 2_000, "427f18e843e3e2ca1617f394e32ef3933f691ebe2ef98bcf2a94b30be1d0029a"),
+        ((4, 70000, 40), 2_000, "fca1cd599a754b43eeeb01644174591cff982aba3c7888502257fd7b7b35a1b5"),
+    ]
+    BREAKS = [
+        (PerBond(0.002), 1000, "6926ef4476b6f3d15fac1ee72912d5e45c723434442eb10ebc24402c710ba822"),
+        (ExactlyT(1, (5, 95)), 100, "550baaa2350129749d4c4ecafb14008a27d00de9e612e027dd09e00ff4323daa"),
+        (AtMostT(3), 100, "ea45567ec31d4eda8dddfbb134e3ef1974d321020fdfff1ec54a22ffb65fbe00"),
+    ]
+
+    @pytest.mark.parametrize("code, count, pinned", SYNTHESIS)
+    def test_synthesis(self, code, count, pinned):
+        q, m, n = code
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=n, ell=3)
+        codeword = construct_codeword(random_message(params, 1), params)
+        strands = synthesize(codeword, count, seed=1)
+        assert hashlib.sha256(strands.astype("<i2").tobytes()).hexdigest() == pinned
+
+    @pytest.mark.parametrize("model, n, pinned", BREAKS)
+    def test_breaks(self, model, n, pinned):
+        pool = break_strands(n, model, 3000, seed=1)
+        triplets = np.concatenate([pool.strand, pool.start, pool.end]).astype("<i4")
+        assert hashlib.sha256(triplets.tobytes()).hexdigest() == pinned

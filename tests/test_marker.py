@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ class TestLayout:
             MarkerCodeParams(alphabet=DNA, n=30, ell=3, marker_base=1, anchor_base=1)
         with pytest.raises(ValueError):
             MarkerCodeParams(alphabet=DNA, n=30, ell=3, marker_base=5)
+
+    def test_memo_keeps_no_large_mask(self):
+        # Each layout at q = 32,767 holds a mask of 3.3 to 3.9 M cells; the memo keeps only
+        # layouts of at most 2^16 cells, so the 20 are freed once used.
+        alphabet = AlphabetParams(q=32767, M=1)
+        tracemalloc.start()
+        try:
+            for n in range(100, 120):
+                assert layout(MarkerCodeParams(alphabet=alphabet, n=n, ell=3)).allowed.shape == (32767, n)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 8 << 20
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_memo_keeps_the_benchmark_layouts(self, n):
+        assert layout(marker_params(n=n, ell=3)) is layout(marker_params(n=n, ell=3))
 
 
 class TestConstruct:
