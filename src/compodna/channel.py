@@ -46,6 +46,7 @@ LANE_MESSAGE = 3
 
 # Draws or aligned bases per vectorized block. This bounds every stage's working set but one,
 # synthesis's chunk tables, which are sized by n * M^c (_chunk_tables) and capped by _TABLE_CAP.
+# The column count reads blocks of 16 * _BLOCK positions, at most 255 rows each (uint8 sums).
 _BLOCK = 1 << 14
 # Entries in all of synthesis's chunk tables together: n = 1000 at M = 6 needs 326,592 at c = 4.
 _TABLE_CAP = 1 << 19
@@ -446,6 +447,22 @@ _CLASSES = tuple(FragmentClass)
 _FULL, _PREFIX, _SUFFIX, _MARKER_ONLY, _DISCARD = range(len(_CLASSES))
 
 
+def _class_rule(head: bool, tail: bool, full: bool, bare: bool) -> int:
+    """classify_fragment's rules, in its order, on a fragment that starts (head) or ends (tail)
+    with the marker block and whose length is n (full) or one block (bare)."""
+    if bare and head:
+        return _MARKER_ONLY
+    if head and tail:
+        return _FULL if full else _DISCARD
+    if head:
+        return _PREFIX
+    return _SUFFIX if tail else _DISCARD
+
+
+# The class of each code head + 2 * tail + 4 * full + 8 * bare.
+_CLASS_OF = np.array([_class_rule(*(code >> bit & 1 for bit in range(4))) for code in range(16)], dtype=np.int8)
+
+
 @dataclass
 class AlignmentResult:
     """Per-position base counts and per-class fragment tallies.
@@ -472,39 +489,45 @@ def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: 
 
     flat ravels `bases`, integers in 1..q: a 1-D concatenation (align_and_count) or the (rows, n)
     strand matrix, of which align_pool's rule counts some fragments by its column counts
-    (_count_by_columns); the rest are gathered (_gathered). Heads and tails are compared with
-    marker_pattern(), by the rules of classify_fragment; fragments longer than n are discarded.
-    Prefixes and full strands anchor at column 1, suffixes at column n.
+    (_count_by_columns); the rest are gathered (_gathered). _classify compares heads and tails
+    with marker_pattern() in one pass and reads each class from _CLASS_OF, classify_fragment's
+    rules as a table; fragments longer than n are discarded. Prefixes and full strands anchor at
+    column 1, suffixes at column n. The own-column ranges go to the column count when they
+    ascend without overlap and cover _COLUMN_COUNT_SHARE of the matrix.
     """
-    q, n, pattern, flat = params.q, params.n, params.marker_pattern(), bases.ravel()
+    q, n, flat = params.q, params.n, bases.ravel()
     if flat.dtype.kind not in "iu":  # a real passes the range check, but the gathers would truncate it
         raise ValueError(f"bases must be integers, got dtype {flat.dtype}")
     if flat.size and not 1 <= flat.min() <= flat.max() <= q:
         raise ValueError(f"bases must lie in 1..{q}, got {flat[(flat < 1) | (flat > q)][0]}")
-    span = len(pattern)
-    fit = np.flatnonzero((lengths >= span) & (lengths <= n))
-    starts, ends = np.zeros((2, len(offsets)), dtype=bool)
-    starts[fit] = _marker_at(flat, offsets[fit], pattern)
-    ends[fit] = _marker_at(flat, offsets[fit] + lengths[fit] - span, pattern)
-    classes = np.full(len(offsets), _DISCARD, dtype=np.int8)
-    classes[ends] = _SUFFIX
-    classes[starts] = _PREFIX
-    both = starts & ends
-    classes[both] = np.where(lengths[both] == n, _FULL, _DISCARD)
-    classes[starts & (lengths == span)] = _MARKER_ONLY
-
+    classes = _classify(flat, offsets, lengths, params)
     table = np.zeros(q * n, dtype=np.int64)
     gather, anchor = classes <= _SUFFIX, np.where(classes == _SUFFIX, n - lengths, 0)
     if bases.ndim == 2:
         mine = gather & (anchor == offsets % n) & (np.diff(offsets, prepend=-1) != 0)  # own columns, first copies
-        edges = np.column_stack((offsets[mine], offsets[mine] + lengths[mine])).ravel()
-        if lengths[mine].sum() >= _COLUMN_COUNT_SHARE * flat.size and (np.diff(edges) >= 0).all():
+        edges = offsets[mine].repeat(2)
+        edges[1::2] += lengths[mine]
+        lo, hi = edges[::2], edges[1::2]
+        if hi.sum() - lo.sum() >= _COLUMN_COUNT_SHARE * flat.size and (lo[1:] >= hi[:-1]).all():
             _count_by_columns(flat.reshape(-1, n), edges, table)
             gather &= ~mine
     usable = np.flatnonzero(gather)
     table += _gathered(flat, offsets[usable], lengths[usable], anchor[usable], q, n)
     tallies = np.bincount(classes, minlength=len(_CLASSES)).tolist()
     return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
+
+
+def _classify(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> np.ndarray:
+    """Class codes of the fragments flat[offsets[i] : offsets[i] + lengths[i]]: one marker pass over
+    the heads and tails of those from one marker block to n long, then one _CLASS_OF lookup."""
+    pattern, n = params.marker_pattern(), params.n
+    span = len(pattern)
+    fit = np.flatnonzero((lengths >= span) & (lengths <= n))
+    at = offsets[fit]
+    hit = _marker_at(flat, np.concatenate((at, at + lengths[fit] - span)), pattern)  # heads, then tails
+    code = (lengths == n) * np.uint8(4) + (lengths == span) * np.uint8(8)
+    code[fit] += hit[: len(fit)] + hit[len(fit) :] * np.uint8(2)
+    return _CLASS_OF.take(code)
 
 
 def _gathered(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, columns: np.ndarray, q: int,
@@ -530,19 +553,22 @@ def _gathered(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, column
 def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray) -> None:
     """Count into the zero flat (q * n) `table` the bases of `strands` in the ascending, disjoint
     flat ranges [edges[2i], edges[2i + 1]), at their own columns: the column counts of the whole
-    matrix, by blocks of rows, less the bases in the gaps between the ranges, gathered row by row."""
+    matrix, less the bases in the gaps between the ranges, gathered row by row. Bases 2..q are
+    counted one pass each over blocks of at most 16 * _BLOCK positions and 255 rows, a block's
+    hits summed per column in uint8; base 1 takes what they leave of the rows."""
     rows, n = strands.shape
     counts = table.reshape(-1, n)
     # A reduce's inner loop runs along a row, so `fold` rows laid side by side (about _BLOCK / 4
     # bases) make one wide row; the rows % fold left over are counted as they are. Smaller reduce
-    # calls cost more than they save; a block's counts are summed in int16, so its rows stop at 32,767.
+    # calls cost more than they save; a block's counts are summed in uint8, so its rows stop at 255.
     fold = max(1, _BLOCK // 4 // n)
     wide = rows - rows % fold
     for part in strands[:wide].reshape(-1, fold * n), strands[wide:]:
-        step = min(max(1, 8 * _BLOCK // part.shape[1]), np.iinfo(np.int16).max)
+        step = min(max(1, 16 * _BLOCK // part.shape[1]), np.iinfo(np.uint8).max)
         for lo in range(0, len(part), step):
             for b in range(1, len(counts)):
-                counts[b] += (part[lo : lo + step] == b + 1).sum(axis=0, dtype=np.int16).reshape(-1, n).sum(axis=0)
+                hits = (part[lo : lo + step] == b + 1).sum(axis=0, dtype=np.uint8)
+                counts[b] += hits.reshape(-1, n).sum(axis=0, dtype=np.intp)
     counts[0] = rows - counts[1:].sum(axis=0)
     gaps = np.concatenate(([0], edges, [strands.size])).reshape(-1, 2)
     gaps = gaps[gaps[:, 0] < gaps[:, 1]]

@@ -260,6 +260,8 @@ def _rank_composition(counts: Sequence[int]) -> int:
 
 
 def _unrank_bars(index: int, parts: int, total: int) -> tuple[int, ...]:
+    if total == 1:  # the unit vectors, in colex order the one at part parts - 1 - index: no bisection
+        return (0,) * (parts - 1 - index) + (1,) + (0,) * index
     # Bar j is the largest s with C(s, j) <= r, bisected on [j - 1, hi): C(j - 1, j) = 0 <= r,
     # and r < C(hi, j) for hi = bar j + 1 (for the top bar, total + parts - 1: r < Q).
     r, hi = index, total + parts - 1

@@ -205,6 +205,37 @@ class TestArrayClassifierMatchesOracle:
             assert (result.count_table == table).all() and table.sum() == 44 * 30
 
 
+class TestClassTable:
+    """channel._CLASS_OF at each fragment's code head + 2 * tail + 4 * (length == n) + 8 * (length ==
+    span) against classify_fragment, on fragments that realize all ten reachable codes: no marker,
+    either marker, both markers on a short fragment, Full, and a bare block with and without a marker."""
+
+    def test_matches_classify_fragment(self):
+        params = MarkerCodeParams(alphabet=DNA, n=20, ell=3)
+        pattern, n = list(params.marker_pattern()), params.n
+        span, filler = len(pattern), [b for b in range(1, 5) if b not in pattern]
+        rng = np.random.default_rng(5)
+        frags = []
+        for length, head, tail in itertools.product(range(1, n + 1), (0, 1), (0, 1)):
+            frag = rng.choice(filler, size=length).astype(np.int16)
+            if length >= span:
+                frag[:span] = pattern if head else frag[:span]
+                frag[length - span :] = pattern if tail else frag[length - span :]
+            frags.append(frag)
+        result = align_and_count(frags, params)
+        codes = set()
+        for frag, predicted in zip(frags, result.classes):
+            length = len(frag)
+            head = length >= span and list(frag[:span]) == pattern
+            tail = length >= span and list(frag[length - span :]) == pattern
+            code = head + 2 * tail + 4 * (length == n) + 8 * (length == span)
+            codes.add(code)
+            want = tuple(FragmentClass).index(classify_fragment(frag, params))
+            assert channel._CLASS_OF[code] == want and predicted == want
+        assert codes == {0, 1, 2, 3, 4, 5, 6, 7, 8, 11}
+        assert all(result.tallies.values())  # every class occurs
+
+
 def plant_markers(strands, params, rng, share):
     """Write the marker pattern from a data column on, in about `share` of the strands,
     so that fragments starting or ending there carry a false marker."""
@@ -410,6 +441,17 @@ class TestInt16ColumnCounts:
         table = np.zeros(4 * 25, dtype=np.int64)
         channel._count_by_columns(strands, np.array([0, strands.size]), table)
         assert (table.reshape(4, 25) == [(strands == b).sum(axis=0) for b in range(1, 5)]).all()
+
+
+class TestByteColumnCounts:
+    def test_leftover_blocks_stop_at_255_rows(self):
+        # At n = 13 and the default _BLOCK, 315 rows fold into a wide row, so all 300 rows are
+        # leftovers, counted in blocks of at most 255: a block of 256 rows would wrap in uint8.
+        assert channel._BLOCK // 4 // 13 == 315
+        strands = np.full((300, 13), 2, dtype=np.int16)
+        table = np.zeros(4 * 13, dtype=np.int64)
+        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        assert (table.reshape(4, 13) == np.array([[0], [300], [0], [0]])).all()
 
 
 class TestFloydDraws:

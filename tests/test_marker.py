@@ -223,6 +223,26 @@ class TestConstruct:
         assert len(seen) == math.prod(radices)  # encoding is injective
 
 
+class TestUnitResolution:
+    def test_codeword_at_q_32767_takes_few_binomials(self, monkeypatch):
+        # At M = 1 a column's symbol is a unit vector, read off its index. Bisecting q - 1 bars
+        # per column took about 4.5 million math.comb calls for this codeword.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=100, ell=3)
+        rng = random.Random(7)
+        message = [rng.randrange(r) for r in message_radices(params)]
+        comb, calls = math.comb, itertools.count()
+
+        def counted(*args):
+            next(calls)
+            return comb(*args)
+
+        monkeypatch.setattr(math, "comb", counted)
+        cw = construct_codeword(message, params)
+        monkeypatch.undo()
+        assert next(calls) < 1000
+        assert decode_matrix(cw, params) == message
+
+
 class TestHugeResolution:
     """Codewords on both sides of M = 2^63, where counts leave int64 for Python ints."""
 

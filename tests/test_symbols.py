@@ -149,6 +149,12 @@ class TestRankUnrank:
             assert rank_symbol(s, params) == i
             assert unrank_symbol(i, params) == s
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 9])
+    def test_unit_symbols_match_enumeration(self, q):
+        # At M = 1 every symbol is a unit vector, unranked without bisecting any bar.
+        params = AlphabetParams(q=q, M=1)
+        assert [unrank_symbol(i, params) for i in range(q)] == enumerate_symbols(params)
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_round_trip_at_huge_resolution(self, q):
         # Each bar is bisected with O(log M) binomials, so M = 10^12 unranks at once.
