@@ -492,15 +492,14 @@ def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: 
     (_count_by_columns); the rest are gathered (_gathered). _classify compares heads and tails
     with marker_pattern() in one pass and reads each class from _CLASS_OF, classify_fragment's
     rules as a table; fragments longer than n are discarded. Prefixes and full strands anchor at
-    column 1, suffixes at column n. The own-column ranges go to the column count when they
-    ascend without overlap and cover _COLUMN_COUNT_SHARE of the matrix.
+    column 1, suffixes at column n.
     """
     q, n, flat = params.q, params.n, bases.ravel()
     if flat.dtype.kind not in "iu":  # a real passes the range check, but the gathers would truncate it
         raise ValueError(f"bases must be integers, got dtype {flat.dtype}")
     if flat.size and not 1 <= flat.min() <= flat.max() <= q:
         raise ValueError(f"bases must lie in 1..{q}, got {flat[(flat < 1) | (flat > q)][0]}")
-    classes = _classify(flat, offsets, lengths, params)
+    classes = _classify(flat, offsets, lengths, params)  # a call, so its arrays are freed before the count
     table = np.zeros(q * n, dtype=np.int64)
     gather, anchor = classes <= _SUFFIX, np.where(classes == _SUFFIX, n - lengths, 0)
     if bases.ndim == 2:
