@@ -8,11 +8,12 @@ blocks, and the composite matrix is re-estimated from the aligned base
 counts.
 
 A pool is held as arrays, not as fragment objects: the (S, n) strand
-matrix of 1-based base indices plus one (strand, start, end) triplet per
-fragment (`FragmentPool`), strand-major. Stages work in blocks of about
-`_BLOCK` draws or aligned bases, with no per-strand or per-fragment loop. A
-pool-order sample whose fragments at their own columns cover `_COLUMN_COUNT_SHARE`
-of the matrix is counted as its column counts less the gaps (align_pool).
+matrix of 1-based base indices (uint8 below q = 256, int16 from there) plus
+one (strand, start, end) triplet per fragment (`FragmentPool`), strand-major.
+Stages work in blocks of about `_BLOCK` draws or aligned bases, with no
+per-strand or per-fragment loop. A pool-order sample whose fragments at
+their own columns cover `_COLUMN_COUNT_SHARE` of the matrix is counted as
+its column counts less the gaps (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
@@ -244,23 +245,30 @@ def _slots_per_word(m: int) -> int:
 
 
 def _check_base_count(q: int) -> None:
-    """Synthesized strands hold 1-based bases as int16, so q may be at most 32,767."""
+    """Synthesized strands hold 1-based bases as uint8 below q = 256 and as int16 from there
+    (_base_dtype), so q may be at most 32,767."""
     if q > np.iinfo(np.int16).max:
         raise ValueError(f"synthesized strands hold bases as int16, so q must be <= 32767, got q={brief(q)}")
+
+
+def _base_dtype(q: int) -> np.dtype:
+    """The strand matrix's dtype, and the width of a chunk table's lanes: one byte below q = 256."""
+    return np.dtype(np.uint8 if q < 256 else np.int16)
 
 
 def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     """Draw `count` i.i.d. strands from the matrix's column distributions.
 
-    Returns a (count, n) array of 1-based base indices. Each 64-bit word r of the
-    synthesis lane holds k = _slots_per_word(M) base-M slots, the digits of
-    v = floor(r * M^k / 2^64), least significant first: strand i reads words
+    Returns a (count, n) array of 1-based base indices: uint8 below q = 256, int16 from q = 256
+    up to 32,767. Each 64-bit word r of the synthesis lane holds k = _slots_per_word(M) base-M
+    slots, the digits of v = floor(r * M^k / 2^64), least significant first: strand i reads words
     i*W .. i*W + W - 1, W = ceil(n / k), column w*k + d digit d of word w. So the
     first m strands are the same whatever `count` is. Slot s draws base b when
     cum_(b-1) <= s < cum_b (cum_b counts bases 1..b): each base is drawn with
     probability count / M to within 2^-32 (README, Determinism), a zero-count base never.
-    A block's v is split once into ceil(k / c) chunks of c digits, each looked up whole in its
-    position's table (_chunk_tables), or at c = 1 compared with its column's q - 1 limits: one draw.
+    A block's v is split into ceil(k / c) chunks of c digits, one chunk position of every word at
+    a time, each looked up whole in its position's table (_chunk_tables), or at c = 1 compared
+    with its column's q - 1 limits: one draw.
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
@@ -270,33 +278,58 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     c, table = _chunk_tables(matrix, k, width)
     chunk, chunks = m**c, -(-k // c)
     if table is None:
-        digits = np.min_scalar_type(m)
-        limits = np.zeros((matrix.params.q - 1, width * k), dtype=digits)  # padding slots, any base, are dropped
+        limits = np.zeros((matrix.params.q - 1, width * k), dtype=np.min_scalar_type(m))  # padding slots are dropped
         limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
     else:
-        # Each chunk position's first entry, tiled over a whole block of _lane_rows: one flat add.
-        first, digits = np.arange(len(table), step=chunk).reshape(width, chunks), np.intp
-        offsets = np.tile(first, (min(count, max(1, _BLOCK // width)), 1, 1))
-    strands = np.empty((count, n), dtype=np.int16)
+        # Each word's first table entry, tiled over a block of _lane_rows: one flat add a chunk position.
+        first = np.tile(np.arange(0, len(table), chunks * chunk), (min(count, max(1, _BLOCK // width)), 1))
+    strands = np.empty((count, n), dtype=_base_dtype(matrix.params.q))
+
+    # One block of rows r into `out`; a block's arrays die with its call, before the next is drawn.
+    def compare(r: np.ndarray, out: np.ndarray) -> None:
+        grid = np.empty((len(r), width, k), dtype=limits.dtype)
+        for j, digit in enumerate(_chunk_values(r, big, chunk, chunks)):
+            grid[:, :, j] = digit
+        grid = grid.reshape(len(r), -1)
+        above = np.zeros(grid.shape, dtype=strands.dtype)  # one pass per bound
+        for limit in limits:
+            above += grid >= limit
+        np.add(above[:, :n], 1, out=out)
+
+    def look_up(r: np.ndarray, out: np.ndarray) -> None:
+        rows, split = len(r), _chunk_values(r, big, chunk, chunks)
+        idx, lanes = r.view(np.intp), np.empty((rows, width, chunks), dtype=table.dtype)  # r is spent
+        for j, value in enumerate(split):
+            np.add(value, first[:rows], out=idx)
+            idx += j * chunk
+            table.take(idx, out=lanes[:, :, j])
+        lanes = lanes.view(f"<u{strands.itemsize}").reshape(rows, width, -1)  # c bases an entry
+        out[:] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
+
+    fill = compare if table is None else look_up
     for lo, r in _lane_rows(substream(seed, LANE_SYNTH).bit_generator.random_raw, count, width):
-        rows = len(r)
-        v = (((r >> 32) * big + ((r & 0xFFFFFFFF) * big >> 32)) >> 32).astype(np.uint32)  # < 2^64 throughout
-        idx = np.empty((rows, width, chunks), dtype=digits)  # chunk j of word w: v's digits j*c .. j*c + c - 1
-        for j in range(chunks - 1):
-            rest = v // chunk
-            idx[:, :, j], v = v - rest * chunk, rest
-        idx[:, :, -1] = v
-        if table is None:
-            grid = idx.reshape(rows, -1)
-            above = np.zeros(grid.shape, dtype=np.int8 if len(limits) < 128 else np.int16)  # one pass per bound
-            for limit in limits:
-                above += grid >= limit
-            np.add(above[:, :n], np.int16(1), out=strands[lo : lo + rows])
-        else:
-            idx += offsets[:rows]
-            lanes = table.take(idx).view(f"<u{table.itemsize // c}").reshape(rows, width, -1)  # c bases an entry
-            strands[lo : lo + rows] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
+        fill(r, strands[lo : lo + len(r)])
     return strands
+
+
+def _chunk_values(r: np.ndarray, big: np.uint64, chunk: int, chunks: int) -> Iterator[np.ndarray]:
+    """Yield chunk j = 0 .. chunks - 1 of the words r as one uint32 array each: digits j*c .. j*c + c - 1
+    of v = floor(r * big / 2^64) in base M, chunk = M^c. r is overwritten, and each chunk is only
+    valid until the next is drawn."""
+    v = r >> 32
+    v *= big
+    r &= 0xFFFFFFFF
+    r *= big
+    r >>= 32
+    v += r
+    v >>= 32  # < 2^64 throughout
+    v = v.astype(np.uint32)
+    for _ in range(chunks - 1):
+        rest = v // chunk
+        v -= rest * chunk
+        yield v
+        v = rest
+    yield v
 
 
 def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Optional[np.ndarray]]:
@@ -322,7 +355,7 @@ def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Opt
     bases = np.ones((width, chunks * c, m), dtype=np.uint16)
     bases[:, :k] = slot_map.reshape(width, k, m)
     bases = bases.reshape(width * chunks, c, m)
-    lane = 1 if q < 256 else 2
+    lane = _base_dtype(q).itemsize
     table = np.zeros((len(bases), 1), dtype=f"u{lane * c}")
     for e in range(c):  # digit e leads the entries built so far: entry x = sum of digit_e * M^e
         shifted = bases[:, e, :, None].astype(table.dtype) << 8 * lane * e
@@ -522,10 +555,11 @@ def _classify(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params
     pattern, n = params.marker_pattern(), params.n
     span = len(pattern)
     fit = np.flatnonzero((lengths >= span) & (lengths <= n))
-    at = offsets[fit]
-    hit = _marker_at(flat, np.concatenate((at, at + lengths[fit] - span)), pattern)  # heads, then tails
+    at = offsets[fit].astype(np.intp)  # the heads' windows, then the tails'
     code = (lengths == n) * np.uint8(4) + (lengths == span) * np.uint8(8)
-    code[fit] += hit[: len(fit)] + hit[len(fit) :] * np.uint8(2)
+    code[fit] += _marker_at(flat, at, pattern)
+    at += lengths[fit] - span
+    code[fit] += _marker_at(flat, at, pattern) * np.uint8(2)
     return _CLASS_OF.take(code)
 
 
@@ -609,8 +643,10 @@ def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeP
     if bad.any():
         i = bad.argmax()
         raise ValueError(f"fragment {i} (strand {s[i]}, columns {a[i]}..{b[i]}) is outside the {strands.shape} matrix")
-    offsets = s.astype(np.intp) * params.n + a - 1
-    return _align(strands, offsets, (b - a + 1).astype(np.intp), params)
+    # int32 positions while every flat index, and a gathered run's shift, stays far inside its range.
+    index = np.int32 if strands.size < 1 << 30 else np.intp
+    offsets = s.astype(index) * params.n + (a - 1)
+    return _align(strands, offsets, (b - a + 1).astype(index), params)
 
 
 class ZeroCoverageError(ValueError):
@@ -642,7 +678,7 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
             j = lo + bare[0] + 1
             raise ZeroCoverageError(f"no usable coverage at {lay.roles[j - 1]} column {j}")
         counts[:, block] = _apportion(weights, params.M)
-    return CompositeMatrix(counts, params.alphabet)
+    return CompositeMatrix._owned(counts, params.alphabet)
 
 
 @dataclass(frozen=True)

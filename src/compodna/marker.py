@@ -206,7 +206,7 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     # The transposed mask lists every column's allowed bases in order, column by column.
     parts = lay.allowed.sum(axis=0).tolist()
     counts.T[lay.allowed.T] = [c for s, k in zip(symbols, parts) for c in _unrank_composition(s, k, m)]
-    return CompositeMatrix(counts, params.alphabet)
+    return CompositeMatrix._owned(counts, params.alphabet)
 
 
 @dataclass(frozen=True)

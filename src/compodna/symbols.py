@@ -88,8 +88,21 @@ class CompositeMatrix:
     params: AlphabetParams
 
     def __post_init__(self) -> None:
-        q, m = self.params.q, self.params.M
-        counts = self.counts if isinstance(self.counts, np.ndarray) else np.array(self.counts, dtype=object)
+        object.__setattr__(self, "counts", self._checked(self.counts, self.params, copy=True))
+
+    @classmethod
+    def _owned(cls, counts: np.ndarray, params: AlphabetParams) -> "CompositeMatrix":
+        """The matrix of an array its caller built and hands over: checked as any input is, but
+        held as it is (made read-only) where its dtype already fits, so it is never held twice."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "params", params)
+        object.__setattr__(matrix, "counts", cls._checked(counts, params, copy=False))
+        return matrix
+
+    @staticmethod
+    def _checked(counts, params: AlphabetParams, copy: bool) -> np.ndarray:
+        q, m = params.q, params.M
+        counts = counts if isinstance(counts, np.ndarray) else np.array(counts, dtype=object)
         if counts.dtype != np.int64:
             entries = counts.ravel().tolist()
             for c in entries:
@@ -107,9 +120,9 @@ class CompositeMatrix:
             if negative[j - 1]:
                 raise ValueError(f"column {j}: counts must be nonnegative integers, got {brief_json(column)}")
             raise ValueError(f"column {j}: counts sum to {brief(sum(column))}, expected M={brief(m)}")
-        counts = counts.astype(_count_dtype(m))
+        counts = counts.astype(_count_dtype(m), copy=copy)
         counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        return counts
 
     @property
     def n(self) -> int:

@@ -100,6 +100,19 @@ class TestSynthesize:
         strands = synthesize(make_codeword(params), 200, seed=1)
         assert strands.min() >= 1 and strands.max() <= 4
 
+    @pytest.mark.parametrize("m", [2, 6, 2**20], ids=["tables M=2", "tables M=6", "compare passes"])
+    def test_bytes_below_q_256_and_int16_from_there(self, m):
+        # A zero-count base 256 leaves every draw where it was, so both matrices draw the same
+        # strands: as uint8 at q = 255 and as int16 at q = 256. Column 1 always draws base 255.
+        rng = np.random.default_rng(m)
+        counts = rng.multinomial(m, rng.dirichlet(np.full(255, 0.05)), size=40).T
+        counts[:, 0], counts[-1, 0] = 0, m
+        narrow = synthesize(CompositeMatrix(counts, AlphabetParams(q=255, M=m)), 300, seed=5)
+        wide = synthesize(CompositeMatrix(np.vstack([counts, np.zeros((1, 40), dtype=np.int64)]),
+                                          AlphabetParams(q=256, M=m)), 300, seed=5)
+        assert narrow.dtype == np.uint8 and wide.dtype == np.int16
+        assert np.array_equal(narrow, wide) and narrow.max() == 255
+
 
 class _ConstantWordGenerator:
     """Stand-in generator whose every synthesis word is `word`, by default all ones, 2^64 - 1."""
@@ -358,7 +371,8 @@ class TestBasesOutsideTheAlphabet:
     PARAMS = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
 
     def _strands(self):
-        return synthesize(make_codeword(self.PARAMS), 50, seed=3)
+        # Signed, so that the -2 cases can be written: synthesize returns uint8 strands at q = 4.
+        return synthesize(make_codeword(self.PARAMS), 50, seed=3).astype(np.int16)
 
     @pytest.mark.parametrize("value", [9, 0, -2])
     def test_align_pool_rejects_a_base_outside_1_to_q(self, value):
@@ -848,6 +862,26 @@ class TestMemoryLinearInQ:
         estimate, peak = self._traced(lambda: estimate_matrix(table, params))
         assert estimate == codeword
         assert peak < 3 * table.nbytes
+
+    def test_estimate_is_held_once_at_q_32767(self):
+        # estimate_matrix hands its array to the matrix it returns, which does not copy it.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=100, ell=3)
+        codeword = construct_codeword(random_message(params, 1), params)
+        table = np.array(codeword.counts)
+        estimate, peak = self._traced(lambda: estimate_matrix(table, params))
+        assert estimate == codeword
+        assert peak < 1.5 * estimate.counts.nbytes
+
+    def test_run_experiment_at_sim_short_keeps_its_heap_budget(self):
+        # glibc trims the heap past twice the largest freed mmapped chunk, here the 1 MB byte strand
+        # matrix; an operation whose temporaries pass that budget gives its pages back at every end
+        # and faults them in again at the next start.
+        params = MarkerCodeParams(alphabet=DNA, n=100, ell=3)
+        config = ChannelConfig(params, 10_000, ExactlyT(1, (5, 95)), None, False, 1)
+        run_experiment(config)  # the first call's one-off costs (the layout memo) are no operation's
+        report, peak = self._traced(lambda: run_experiment(config))
+        assert report.exact_recovery
+        assert peak < 2_200_000
 
     def test_run_experiment_at_q_32767(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=32767, M=1), n=13, ell=3)

@@ -465,7 +465,7 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
 
     def test_an_allocation_past_any_address_space_is_an_error_line(self, capsys, tmp_path):
-        # 10^15 strands of 100 int16 bases are about 177 PiB: the allocation is refused at
+        # 10^15 strands of 100 one-byte bases are about 89 PiB: the allocation is refused at
         # once, and the sweep runs the next config.
         huge = dict(BASE_CONFIG, code_params=dict(BASE_CONFIG["code_params"], n=100), strand_count=10**15, seed=1)
         path = self._write_config(tmp_path, **huge)

@@ -331,6 +331,13 @@ class TestCountArray:
         with pytest.raises(ValueError, match=where):
             CompositeMatrix(counts, AlphabetParams(q=2, M=6))
 
+    def test_an_int64_array_is_copied(self):
+        given_counts = np.array([[6, 1], [0, 5]], dtype=np.int64)
+        matrix = CompositeMatrix(given_counts, AlphabetParams(q=2, M=6))
+        assert not np.shares_memory(matrix.counts, given_counts) and given_counts.flags.writeable
+        given_counts[0, 0] = 0
+        assert matrix.counts.tolist() == [[6, 1], [0, 5]]
+
     @pytest.mark.parametrize("m, dtype", [(6, np.int64), (2**63 - 1, np.int64), (2**63, object), (10**30, object)])
     def test_dtype_by_resolution_read_only_and_copied(self, m, dtype):
         given_counts = np.array([[m, 1], [0, m - 1]], dtype=object)
