@@ -298,7 +298,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
 
     def look_up(r: np.ndarray, out: np.ndarray) -> None:
         rows, split = len(r), _chunk_values(r, big, chunk, chunks)
-        idx, lanes = r.view(np.intp), np.empty((rows, width, chunks), dtype=table.dtype)  # r is spent
+        idx, lanes = r.view(np.int64), np.empty((rows, width, chunks), dtype=table.dtype)  # r is spent
         for j, value in enumerate(split):
             np.add(value, first[:rows], out=idx)
             idx += j * chunk
@@ -555,7 +555,7 @@ def _classify(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params
     pattern, n = params.marker_pattern(), params.n
     span = len(pattern)
     fit = np.flatnonzero((lengths >= span) & (lengths <= n))
-    at = offsets[fit].astype(np.intp)  # the heads' windows, then the tails'
+    at = offsets[fit].astype(np.intp)  # the heads' windows, then the tails': indices take() reads as they are
     code = (lengths == n) * np.uint8(4) + (lengths == span) * np.uint8(8)
     code[fit] += _marker_at(flat, at, pattern)
     at += lengths[fit] - span

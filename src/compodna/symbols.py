@@ -101,6 +101,7 @@ class CompositeMatrix:
 
     @staticmethod
     def _checked(counts, params: AlphabetParams, copy: bool) -> np.ndarray:
+        """`counts` checked as the class docstring says, read-only; an int64 array is copied only if `copy`."""
         q, m = params.q, params.M
         counts = counts if isinstance(counts, np.ndarray) else np.array(counts, dtype=object)
         if counts.dtype != np.int64:
