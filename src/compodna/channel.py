@@ -11,9 +11,9 @@ A pool is held as arrays, not as fragment objects: the (S, n) strand
 matrix of 1-based base indices (uint8 below q = 256, int16 from there) plus
 one (strand, start, end) triplet per fragment (`FragmentPool`), strand-major.
 Stages work in blocks of about `_BLOCK` draws or aligned bases, with no
-per-strand or per-fragment loop. A pool-order sample whose fragments at
-their own columns cover `_COLUMN_COUNT_SHARE` of the matrix is counted as
-its column counts less the gaps (align_pool).
+per-strand or per-fragment loop. Below q = `_COLUMN_COUNT_Q`, a pool-order
+sample whose fragments at their own columns cover `_COLUMN_COUNT_SHARE` of
+the matrix is counted as its column counts less the gaps (align_pool).
 
 Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .marker import FragmentClass, MarkerCodeParams, _check_radices, construct_codeword, layout, message_radices
+from .marker import FragmentClass, LayoutMap, MarkerCodeParams, _check_radices, _encode, layout, message_radices
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
 from .symbols import _apportion, _count_dtype
 
@@ -57,6 +57,9 @@ _TABLE_Q = 24
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
 _COLUMN_COUNT_SHARE = 0.65
+# align_pool counts by columns only below this q: its q - 1 passes cross the gather near q = 16
+# at the share cut and near q = 48 over a whole pool (align_pool ratios, n = 100 and 1000).
+_COLUMN_COUNT_Q = 16
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
@@ -381,15 +384,20 @@ def _cuts(u: np.ndarray, n: int, model: BreakModel) -> tuple[np.ndarray, np.ndar
     span, t = hi - lo + 1, model.t
     # A row drawing c < t bonds skips Floyd's first t - c steps; a skipped
     # step's pick is hi + 1, never a candidate, so it is never taken.
-    skip = 0 if isinstance(model, ExactlyT) else t - np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
+    exact = isinstance(model, ExactlyT)
+    skip = 0 if exact else t - np.minimum((u[:, 0] * (t + 1)).astype(np.intp), t)
     picks = np.full((len(u), t), hi + 1)
     # Floyd: for j = span-t .. span-1 pick r uniform in [0, j]; take j if r is taken.
     for step in range(t):
         j = span - t + step
         pick = lo + np.minimum((u[:, 1 + step] * (j + 1)).astype(np.intp), j)
-        pick[(picks[:, :step] == pick[:, None]).any(axis=1)] = lo + j
-        picks[:, step] = np.where(step >= skip, pick, hi + 1)
-    picks.sort(axis=1)
+        if step:
+            pick[(picks[:, :step] == pick[:, None]).any(axis=1)] = lo + j
+        picks[:, step] = pick if exact else np.where(step >= skip, pick, hi + 1)
+    if t > 1:
+        picks.sort(axis=1)
+    if exact:  # every row has its t picks
+        return np.arange(len(u)).repeat(t), picks.ravel()
     row, col = np.nonzero(picks <= hi)
     return row, picks[row, col]
 
@@ -534,19 +542,24 @@ def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: 
         raise ValueError(f"bases must lie in 1..{q}, got {flat[(flat < 1) | (flat > q)][0]}")
     classes = _classify(flat, offsets, lengths, params)  # a call, so its arrays are freed before the count
     table = np.zeros(q * n, dtype=np.int64)
-    gather, anchor = classes <= _SUFFIX, np.where(classes == _SUFFIX, n - lengths, 0)
-    if bases.ndim == 2:
-        mine = gather & (anchor == offsets % n) & (np.diff(offsets, prepend=-1) != 0)  # own columns, first copies
-        edges = offsets[mine].repeat(2)
-        edges[1::2] += lengths[mine]
-        lo, hi = edges[::2], edges[1::2]
+    # Exact forms that beat np.where, % and np.diff: numpy divides by a scalar through libdivide
+    # but has no fast path for the remainder.
+    gather, anchor = classes <= _SUFFIX, (n - lengths) * (classes == _SUFFIX)
+    if bases.ndim == 2 and q < _COLUMN_COUNT_Q:
+        mine = gather & (anchor == offsets - offsets // n * n)  # at their own columns
+        mine[1:] &= offsets[1:] != offsets[:-1]  # first copies
+        lo, hi = offsets[mine], lengths[mine]
+        hi += lo
         if hi.sum() - lo.sum() >= _COLUMN_COUNT_SHARE * flat.size and (lo[1:] >= hi[:-1]).all():
+            edges = np.stack((lo, hi), axis=1).ravel()
+            del lo, hi  # the count's blocks come on top of what is live
             _count_by_columns(flat.reshape(-1, n), edges, table)
             gather &= ~mine
     usable = np.flatnonzero(gather)
-    table += _gathered(flat, offsets[usable], lengths[usable], anchor[usable], q, n)
-    tallies = np.bincount(classes, minlength=len(_CLASSES)).tolist()
-    return AlignmentResult(count_table=table.reshape(q, n), tallies=dict(zip(_CLASSES, tallies)), classes=classes)
+    if len(usable):
+        table += _gathered(flat, offsets[usable], lengths[usable], anchor[usable], q, n)
+    tallies = {kind: int(np.count_nonzero(classes == c)) for c, kind in enumerate(_CLASSES)}
+    return AlignmentResult(count_table=table.reshape(q, n), tallies=tallies, classes=classes)
 
 
 def _classify(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: MarkerCodeParams) -> np.ndarray:
@@ -554,7 +567,8 @@ def _classify(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params
     the heads and tails of those from one marker block to n long, then one _CLASS_OF lookup."""
     pattern, n = params.marker_pattern(), params.n
     span = len(pattern)
-    fit = np.flatnonzero((lengths >= span) & (lengths <= n))
+    fit = (lengths >= span) & (lengths <= n)
+    fit = slice(None) if fit.all() else np.flatnonzero(fit)
     at = offsets[fit].astype(np.intp)  # the heads' windows, then the tails': indices take() reads as they are
     code = (lengths == n) * np.uint8(4) + (lengths == span) * np.uint8(8)
     code[fit] += _marker_at(flat, at, pattern)
@@ -603,13 +617,17 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
                 hits = (part[lo : lo + step] == b + 1).sum(axis=0, dtype=np.uint8)
                 counts[b] += hits.reshape(-1, n).sum(axis=0, dtype=np.intp)
     counts[0] = rows - counts[1:].sum(axis=0)
-    gaps = np.concatenate(([0], edges, [strands.size])).reshape(-1, 2)
-    gaps = gaps[gaps[:, 0] < gaps[:, 1]]
-    first = gaps[:, 0] // n
-    pieces = (gaps[:, 1] - 1) // n - first + 1  # rows each gap meets
+    lo, hi = edges[::2], edges[1::2]
+    inner = np.flatnonzero(lo[1:] > hi[:-1])  # the gaps between ranges, and those at the two ends
+    a, b = np.concatenate(([0], hi[inner], hi[-1:])), np.concatenate((lo[:1], lo[inner + 1], [strands.size]))
+    a, b = a[a < b], b[a < b]
+    if not len(a):
+        return
+    first = a // n
+    pieces = (b - 1) // n - first + 1  # rows each gap meets
     row = np.arange(pieces.sum()) + np.repeat(first - np.cumsum(pieces) + pieces, pieces)
-    start = np.maximum(np.repeat(gaps[:, 0], pieces), row * n)
-    end = np.minimum(np.repeat(gaps[:, 1], pieces), row * n + n)
+    start = np.maximum(np.repeat(a, pieces), row * n)
+    end = np.minimum(np.repeat(b, pieces), row * n + n)
     table -= _gathered(strands.ravel(), start, end - start, start - row * n, len(counts), n)
 
 
@@ -634,7 +652,8 @@ def align_pool(strands: np.ndarray, fragments: FragmentPool, params: MarkerCodeP
     Full fragments, Prefixes from column 1 and Suffixes to column n sit at their own
     columns. Those not a later copy of the fragment before them, if ascending and disjoint
     (as in break_strands' order) and covering `_COLUMN_COUNT_SHARE` of the matrix, are
-    counted as its column counts less the bases in the gaps between them.
+    counted as its column counts less the bases in the gaps between them, below q =
+    `_COLUMN_COUNT_Q`.
     """
     if strands.ndim != 2 or strands.shape[1] != params.n:
         raise ValueError(f"strand matrix has shape {strands.shape}, but params expect n={params.n} columns")
@@ -662,13 +681,18 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     marker base. Columns are apportioned in blocks of about `_BLOCK` counts,
     so the working set beside the table and the estimate stays small at any q.
     """
+    return _estimate(count_table, params, layout(params))
+
+
+def _estimate(count_table: np.ndarray, params: MarkerCodeParams, lay: LayoutMap) -> CompositeMatrix:
+    """estimate_matrix on `lay`, the layout of params."""
     q, n = params.q, params.n
     if count_table.shape != (q, n) or count_table.dtype.kind not in "iu":
         raise ValueError(f"count table must be a ({q}, {n}) integer array, got {count_table.dtype} {count_table.shape}")
     if (count_table < 0).any():
         j = (count_table < 0).any(axis=0).argmax() + 1
         raise ValueError(f"count table column {j}: counts must be nonnegative, got {count_table[:, j - 1].tolist()}")
-    lay, counts = layout(params), np.empty((q, n), dtype=_count_dtype(params.M))
+    counts = np.empty((q, n), dtype=_count_dtype(params.M))
     step = max(1, _BLOCK // q)
     for lo in range(0, n, step):
         block = slice(lo, lo + step)
@@ -721,9 +745,12 @@ class TraceStats:
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
     _check_radices(params)
-    # One array draw reads the lane as one scalar draw per radix would, in column order.
-    radices = np.array(message_radices(params), dtype=np.uint64)
-    return substream(seed, LANE_MESSAGE).integers(0, radices).tolist()
+    return _draw_message(message_radices(params), seed)
+
+
+def _draw_message(radices: list[int], seed: int) -> list[int]:
+    """random_message's draw: one array draw reads the lane as one scalar draw per radix would."""
+    return substream(seed, LANE_MESSAGE).integers(0, np.array(radices, dtype=np.uint64)).tolist()
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:
@@ -750,15 +777,16 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
 def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndarray]:
     """The pipeline: the report, the sampled pool and its predicted class codes."""
     params, seed, count = config.code_params, config.seed, config.strand_count
-    codeword = construct_codeword(random_message(params, seed), params)
+    lay = layout(params)  # once: past the memo's 2^16 cells every layout() call builds it afresh
+    codeword = _encode(_draw_message(lay.data_radices(), seed), params, lay)
     strands = synthesize(codeword, count, seed)
     pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
     picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
     aligned = align_pool(strands, picked, params)
-    estimated = estimate_matrix(aligned.count_table, params)
+    estimated = _estimate(aligned.count_table, params, lay)
     errors = int((estimated.counts != codeword.counts).any(axis=0).sum())
-    coverage = aligned.count_table.sum(axis=0)[~layout(params).fixed]
+    coverage = aligned.count_table.sum(axis=0)[~lay.fixed]
     report = ExperimentReport(
         fragments_sampled=k,
         discarded_fraction=aligned.tallies[FragmentClass.DISCARD] / k,
@@ -775,7 +803,7 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
-    The stages are the public ones, chained: random_message, construct_codeword,
+    The stages are the public ones, chained on one layout: random_message, construct_codeword,
     synthesize, break_strands, sample_fragments, align_pool, estimate_matrix.
     `workers` is accepted for compatibility and has no effect; the report is
     byte-identical at any value.

@@ -120,6 +120,10 @@ class LayoutMap:
         """Breaker and free columns in ascending column order."""
         return self._positions("breaker", "free")
 
+    def data_radices(self) -> list[int]:
+        """The radix of each data column, in data_positions() order."""
+        return [self.radices[j - 1] for j in self.data_positions()]
+
     @functools.cached_property
     def fixed(self) -> np.ndarray:
         """(n,) mask of the anchor and marker columns, whose one value is full weight on their base."""
@@ -180,8 +184,7 @@ def _check_radices(params: MarkerCodeParams) -> None:
 
 def message_radices(params: MarkerCodeParams) -> list[int]:
     """Per-data-column alphabet sizes: Q at free columns, Q-R at breakers."""
-    lay = layout(params)
-    return [lay.radices[j - 1] for j in lay.data_positions()]
+    return layout(params).data_radices()
 
 
 def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> CompositeMatrix:
@@ -191,7 +194,11 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     column unranks its symbol over its allowed bases; marker-block columns
     take symbol 0.
     """
-    lay = layout(params)
+    return _encode(message, params, layout(params))
+
+
+def _encode(message: Sequence[int], params: MarkerCodeParams, lay: LayoutMap) -> CompositeMatrix:
+    """construct_codeword on `lay`, the layout of params."""
     data = lay.data_positions()
     if len(message) != len(data):
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")

@@ -891,6 +891,25 @@ class TestMemoryLinearInQ:
         assert peak < 64 << 20
 
 
+class TestLayoutBuiltOnce:
+    """Past the layout memo's 2^16 cells every layout() call builds the layout afresh, so one
+    run_experiment builds it once and hands it to its stages."""
+
+    def test_one_build_a_run(self, monkeypatch):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=2048, M=1), n=40, ell=3)
+        assert params.q * params.n > 1 << 16
+        built, calls = marker._build_layout, []
+
+        def record(params):
+            calls.append(params)
+            return built(params)
+
+        monkeypatch.setattr(marker, "_build_layout", record)
+        report = run_experiment(ChannelConfig(params, 8, PerBond(0.01), None, False, 1))
+        assert calls == [params]
+        assert report.exact_recovery
+
+
 class TestMessageDraw:
     """random_message draws every radix in one call; it reads the message lane as one
     scalar draw per radix, in column order, would."""

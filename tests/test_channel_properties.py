@@ -320,7 +320,7 @@ class TestRepeatedFragments:
 class TestColumnCountGaps:
     """The column count less the gaps against the gather alone (share rule infinite), at every
     block size: a gap from flat index 0, one to the matrix's end, gaps of whole rows, gaps
-    across row ends, a gap inside every row, and no gap."""
+    across row ends, a gap inside every row, no gap, and no range at all (one gap)."""
 
     N, ROWS = 30, 12
     # Break model, fragments left out as (strand, "all" | "head" | "tail"), and a check of
@@ -341,6 +341,9 @@ class TestColumnCountGaps:
         "inside rows": (ExactlyT(t=2, bond_range=(6, 24)), [],
                         lambda gaps, n, r: [a // n for a, _ in gaps] == list(range(r))
                         and all(a // n == (b - 1) // n for a, b in gaps)),
+        # Only the middle pieces stay, all Discard: no fragment sits at its own columns.
+        "no range": (ExactlyT(t=2, bond_range=(6, 24)), [(row, part) for row in range(ROWS) for part in ("head", "tail")],
+                     lambda gaps, n, r: gaps == [(0, r * n)]),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -373,6 +376,52 @@ class TestColumnCountGaps:
         assert len(edges) == len(TestBlockSizes.CAPS)
         bounds = np.concatenate(([0], edges[0], [strands.size])).reshape(-1, 2)
         assert check([(int(a), int(b)) for a, b in bounds if a < b], self.N, self.ROWS)
+
+
+class TestCountPaths:
+    """Which count path align_pool takes: no gather at all for a whole single-break pool,
+    and the column count only below q = _COLUMN_COUNT_Q, whatever the share rule."""
+
+    def test_a_whole_single_break_pool_gathers_nothing(self, monkeypatch):
+        # Bonds 6..24 leave every fragment a Prefix or a Suffix longer than the marker block:
+        # the column count reads them all, and no gap is left.
+        params = MarkerCodeParams(alphabet=DNA, n=30, ell=3)
+        strands = synthesize(random_codeword(params, np.random.default_rng(8)), 400, 8)
+        pool = break_strands(30, ExactlyT(t=1, bond_range=(6, 24)), 400, 8)
+        gathered, calls = channel._gathered, []
+
+        def record(*args):
+            calls.append(len(args[1]))
+            return gathered(*args)
+
+        monkeypatch.setattr(channel, "_gathered", record)
+        by_columns = align_pool(strands, pool, params)
+        assert calls == []
+        assert by_columns.tallies[FragmentClass.PREFIX] == by_columns.tallies[FragmentClass.SUFFIX] == 400
+        assert all(type(tally) is int for tally in by_columns.tallies.values())  # the report divides them
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", math.inf)
+        alone = align_pool(strands, pool, params)
+        assert len(calls) == 1 and (by_columns.count_table == alone.count_table).all()
+
+    @pytest.mark.parametrize("q", [channel._COLUMN_COUNT_Q - 1, channel._COLUMN_COUNT_Q, 1024])
+    def test_column_count_only_below_the_q_cut(self, q, monkeypatch):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=2), n=40, ell=3)
+        strands = synthesize(random_codeword(params, np.random.default_rng(q)), 300, q)
+        pool = break_strands(40, ExactlyT(t=1, bond_range=(6, 34)), 300, q)
+        counted, calls = channel._count_by_columns, []
+
+        def record(*args):
+            calls.append(q)
+            counted(*args)
+
+        monkeypatch.setattr(channel, "_count_by_columns", record)
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)
+        result = align_pool(strands, pool, params)
+        assert calls == ([q] if q < channel._COLUMN_COUNT_Q else [])
+        monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", math.inf)
+        gathered = align_pool(strands, pool, params)
+        assert (result.count_table == gathered.count_table).all() and result.count_table.sum() == 300 * 40
+        assert (result.classes == gathered.classes).all() and result.tallies == gathered.tallies
 
 
 def marker_at_by_bases(flat, pos, pattern):
