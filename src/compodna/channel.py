@@ -618,7 +618,8 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
                 counts[b] += hits.reshape(-1, n).sum(axis=0, dtype=np.intp)
     counts[0] = rows - counts[1:].sum(axis=0)
     lo, hi = edges[::2], edges[1::2]
-    inner = np.flatnonzero(lo[1:] > hi[:-1])  # the gaps between ranges, and those at the two ends
+    inner = np.flatnonzero(lo[1:] > hi[:-1])  # ranges that a gap follows, the last range aside
+    # The gaps [a, b): before the first range, after each inner one and after the last; empty ones go.
     a, b = np.concatenate(([0], hi[inner], hi[-1:])), np.concatenate((lo[:1], lo[inner + 1], [strands.size]))
     a, b = a[a < b], b[a < b]
     if not len(a):

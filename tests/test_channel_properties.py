@@ -342,7 +342,8 @@ class TestColumnCountGaps:
                         lambda gaps, n, r: [a // n for a, _ in gaps] == list(range(r))
                         and all(a // n == (b - 1) // n for a, b in gaps)),
         # Only the middle pieces stay, all Discard: no fragment sits at its own columns.
-        "no range": (ExactlyT(t=2, bond_range=(6, 24)), [(row, part) for row in range(ROWS) for part in ("head", "tail")],
+        "no range": (ExactlyT(t=2, bond_range=(6, 24)),
+                     [(row, part) for row in range(ROWS) for part in ("head", "tail")],
                      lambda gaps, n, r: gaps == [(0, r * n)]),
     }
 
