@@ -285,7 +285,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
         limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
     else:
         # Each word's first table entry, tiled over a block of _lane_rows: one flat add a chunk position.
-        first = np.tile(np.arange(0, len(table), chunks * chunk), (min(count, max(1, _BLOCK // width)), 1))
+        first = np.tile(np.arange(0, len(table), chunks * chunk, np.uint32), (min(count, max(1, _BLOCK // width)), 1))
     strands = np.empty((count, n), dtype=_base_dtype(matrix.params.q))
 
     # One block of rows r into `out`; a block's arrays die with its call, before the next is drawn.
@@ -300,12 +300,10 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
         np.add(above[:, :n], 1, out=out)
 
     def look_up(r: np.ndarray, out: np.ndarray) -> None:
-        rows, split = len(r), _chunk_values(r, big, chunk, chunks)
-        idx, lanes = r.view(np.int64), np.empty((rows, width, chunks), dtype=table.dtype)  # r is spent
-        for j, value in enumerate(split):
-            np.add(value, first[:rows], out=idx)
-            idx += j * chunk
-            table.take(idx, out=lanes[:, :, j])
+        rows, lanes = len(r), np.empty((len(r), width, chunks), dtype=table.dtype)
+        for j, value in enumerate(_chunk_values(r, big, chunk, chunks)):  # uint32 throughout: no buffered cast
+            value += first[:rows]
+            table[j * chunk :].take(value, out=lanes[:, :, j])
         lanes = lanes.view(f"<u{strands.itemsize}").reshape(rows, width, -1)  # c bases an entry
         out[:] = lanes[:, :, :k].reshape(rows, -1)[:, :n]
 
@@ -317,8 +315,8 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
 
 def _chunk_values(r: np.ndarray, big: np.uint64, chunk: int, chunks: int) -> Iterator[np.ndarray]:
     """Yield chunk j = 0 .. chunks - 1 of the words r as one uint32 array each: digits j*c .. j*c + c - 1
-    of v = floor(r * big / 2^64) in base M, chunk = M^c. r is overwritten, and each chunk is only
-    valid until the next is drawn."""
+    of v = floor(r * big / 2^64) in base M, chunk = M^c. r is overwritten; each chunk is the caller's
+    to overwrite, and only valid until the next is drawn."""
     v = r >> 32
     v *= big
     r &= 0xFFFFFFFF
@@ -433,7 +431,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
     blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]
     row = np.concatenate([row + lo for lo, row, _ in blocks])
-    bond = np.concatenate([bond for _, _, bond in blocks])
+    bond = np.concatenate([bond for _, _, bond in blocks], dtype=np.int32)  # the triplets' type: unbuffered scatters
     # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.
     after = np.arange(len(row)) + row + 1
     strand = np.repeat(np.arange(count, dtype=np.int32), np.bincount(row, minlength=count) + 1)
@@ -614,7 +612,7 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
         step = min(max(1, 16 * _BLOCK // part.shape[1]), np.iinfo(np.uint8).max)
         for lo in range(0, len(part), step):
             for b in range(1, len(counts)):
-                hits = (part[lo : lo + step] == b + 1).sum(axis=0, dtype=np.uint8)
+                hits = (part[lo : lo + step] == b + 1).view(np.uint8).sum(axis=0, dtype=np.uint8)
                 counts[b] += hits.reshape(-1, n).sum(axis=0, dtype=np.intp)
     counts[0] = rows - counts[1:].sum(axis=0)
     lo, hi = edges[::2], edges[1::2]
@@ -806,9 +804,11 @@ def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
 
     The stages are the public ones, chained on one layout: random_message, construct_codeword,
     synthesize, break_strands, sample_fragments, align_pool, estimate_matrix.
-    `workers` is accepted for compatibility and has no effect; the report is
-    byte-identical at any value.
+    `workers` (at least 1) is accepted for compatibility and has no effect; the report is
+    byte-identical at any valid value.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {brief(workers)}")
     return _run(config)[0]
 
 

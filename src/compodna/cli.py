@@ -33,6 +33,17 @@ def _parse_range(text: str, flag: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
+def _worker_count(text: str) -> int:
+    """--workers: an integer >= 1; argparse reports anything else as a flag error naming the flag."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to config JSON, or - for stdin")
     p.add_argument("--sweep", action="store_true", help="config holds an array; emit CSV")
     p.add_argument("--seed", type=int, default=None, help=f"override config seed (also {SEED_ENV_VAR})")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect on output")
+    p.add_argument("--workers", type=_worker_count, default=1, help="at least 1; no effect on output")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="oracle-equivalence and identity suites")

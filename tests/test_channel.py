@@ -574,6 +574,12 @@ class TestRunExperiment:
         for workers in (2, 4, 8):
             assert run_experiment(config, workers=workers).to_json() == serial
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers):
+        config = make_config(strand_count=50, break_model=PerBond(p=0.05), seed=5)
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(config, workers=workers)
+
     def test_seed_changes_outcome(self):
         base = make_config(strand_count=200, break_model=PerBond(p=0.1), seed=1)
         other = make_config(strand_count=200, break_model=PerBond(p=0.1), seed=2)

@@ -633,3 +633,12 @@ class TestFlagErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--Q", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exits_2(self, capsys, tmp_path, workers):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASE_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
