@@ -1,8 +1,8 @@
 """Property tests of the array channel core: split invariance, the array
 classifier/counter against a per-fragment oracle, the column count against
 the gather, Floyd bond draws, the cut and synthesis cores against scalar
-references, block-size invariance, and the pinned outputs of synthesis, breaking and
-run_experiment."""
+references, synthesis's chunk values and table sizes, block-size invariance,
+and the pinned outputs of synthesis, breaking and run_experiment."""
 
 import hashlib
 import itertools
@@ -615,6 +615,39 @@ class TestSynthesisMatchesScalarReference:
                 drawn = [next(b for b, c in enumerate(np.cumsum(col), start=1) if s < c)
                          for s, col in zip(slots, columns)]
                 assert strands[i].tolist() == drawn, f"M={m}, block {block}, strand {i}"
+
+
+class TestChunkValues:
+    """Synthesis indexes its chunk tables in uint32: a word's first entry plus a chunk value. So every
+    chunk value lies in [0, M^c) and every table holds fewer than _TABLE_CAP < 2^32 entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(2, 2**32), words=st.lists(st.integers(0, 2**64 - 1), max_size=8), data=st.data())
+    def test_chunks_are_the_digits_below_m_to_the_c(self, m, words, data):
+        k = channel._slots_per_word(m)
+        c = data.draw(st.sampled_from([c for c in (4, 2, 1) if c <= k]), label="c")
+        chunk, chunks = m**c, -(-k // c)
+        words = [0, 2**64 - 1, *words]
+        split = channel._chunk_values(np.array(words, dtype=np.uint64), np.uint64(m**k), chunk, chunks)
+        values = [value.copy() for value in split]
+        assert len(values) == chunks and all(value.dtype == np.uint32 for value in values)
+        for w, r in enumerate(words):
+            v = r * m**k >> 64  # the word's k base-M digits, chunk j = digits j*c .. j*c + c - 1, below M^c
+            assert [int(value[w]) for value in values] == [v // chunk**j % chunk for j in range(chunks)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.integers(2, 400), m=st.integers(1, 64) | st.integers(1, 2**32), n=st.integers(1, 2000),
+           data=st.data())
+    def test_tables_stay_below_the_cap(self, q, m, n, data):
+        assert channel._TABLE_CAP < 2**32
+        counts = np.zeros((q, n), dtype=np.int64)
+        counts[data.draw(st.integers(0, q - 1), label="base"), :] = m
+        k = channel._slots_per_word(m)
+        width = -(-n // k)
+        c, table = channel._chunk_tables(CompositeMatrix(counts, AlphabetParams(q=q, M=m)), k, width)
+        if table is not None:
+            # M^c entries for each of the width * ceil(k / c) chunk positions: every index lies below.
+            assert len(table) == width * -(-k // c) * m**c < channel._TABLE_CAP
 
 
 class TestBlockSizes:
