@@ -34,7 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .marker import FragmentClass, LayoutMap, MarkerCodeParams, _check_radices, _encode, layout, message_radices
+from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
+from .marker import _check_radices, _class_rule
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
 from .symbols import _apportion, _count_dtype
 
@@ -71,6 +72,8 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {brief(seed)} outside [0, 2^64)")
+    if not 0 <= lane < 16:
+        raise ValueError(f"substream lane {brief(lane)} outside [0, 16)")
     if not 0 <= index < 1 << 60:
         raise ValueError(f"substream index {brief(index)} outside [0, 2^60)")
     key = np.array([seed, (lane << 60) | index], dtype=np.uint64)
@@ -427,6 +430,8 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
+    if n < 1:
+        raise ValueError(f"strand length must be >= 1, got n={brief(n)}")
     width = _break_width(model, n)
     lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
     blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]
@@ -485,21 +490,8 @@ def sample_fragments(
 _CLASSES = tuple(FragmentClass)
 _FULL, _PREFIX, _SUFFIX, _MARKER_ONLY, _DISCARD = range(len(_CLASSES))
 
-
-def _class_rule(head: bool, tail: bool, full: bool, bare: bool) -> int:
-    """classify_fragment's rules, in its order, on a fragment that starts (head) or ends (tail)
-    with the marker block and whose length is n (full) or one block (bare)."""
-    if bare and head:
-        return _MARKER_ONLY
-    if head and tail:
-        return _FULL if full else _DISCARD
-    if head:
-        return _PREFIX
-    return _SUFFIX if tail else _DISCARD
-
-
-# The class of each code head + 2 * tail + 4 * full + 8 * bare.
-_CLASS_OF = np.array([_class_rule(*(code >> bit & 1 for bit in range(4))) for code in range(16)], dtype=np.int8)
+# The class of each code head + 2 * tail + 4 * full + 8 * bare: classify_fragment's rule as a table.
+_CLASS_OF = np.array([_CLASSES.index(_class_rule(*(c >> bit & 1 for bit in range(4)))) for c in range(16)], np.int8)
 
 
 @dataclass
@@ -680,12 +672,7 @@ def estimate_matrix(count_table: np.ndarray, params: MarkerCodeParams) -> Compos
     marker base. Columns are apportioned in blocks of about `_BLOCK` counts,
     so the working set beside the table and the estimate stays small at any q.
     """
-    return _estimate(count_table, params, layout(params))
-
-
-def _estimate(count_table: np.ndarray, params: MarkerCodeParams, lay: LayoutMap) -> CompositeMatrix:
-    """estimate_matrix on `lay`, the layout of params."""
-    q, n = params.q, params.n
+    q, n, lay = params.q, params.n, layout(params)
     if count_table.shape != (q, n) or count_table.dtype.kind not in "iu":
         raise ValueError(f"count table must be a ({q}, {n}) integer array, got {count_table.dtype} {count_table.shape}")
     if (count_table < 0).any():
@@ -744,12 +731,8 @@ class TraceStats:
 def random_message(params: MarkerCodeParams, seed: int) -> list[int]:
     """Seed-derived uniform message over the layout's mixed radices, each at most 2^63."""
     _check_radices(params)
-    return _draw_message(message_radices(params), seed)
-
-
-def _draw_message(radices: list[int], seed: int) -> list[int]:
-    """random_message's draw: one array draw reads the lane as one scalar draw per radix would."""
-    return substream(seed, LANE_MESSAGE).integers(0, np.array(radices, dtype=np.uint64)).tolist()
+    # One array draw reads the lane as one scalar draw per radix would.
+    return substream(seed, LANE_MESSAGE).integers(0, np.array(message_radices(params), dtype=np.uint64)).tolist()
 
 
 def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceStats:
@@ -776,16 +759,15 @@ def _trace_stats(picked: FragmentPool, predicted: np.ndarray, n: int) -> TraceSt
 def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndarray]:
     """The pipeline: the report, the sampled pool and its predicted class codes."""
     params, seed, count = config.code_params, config.seed, config.strand_count
-    lay = layout(params)  # once: past the memo's 2^16 cells every layout() call builds it afresh
-    codeword = _encode(_draw_message(lay.data_radices(), seed), params, lay)
+    codeword = construct_codeword(random_message(params, seed), params)
     strands = synthesize(codeword, count, seed)
     pool = break_strands(params.n, config.break_model, count, seed)
     k = config.sample_size if config.sample_size is not None else len(pool)
     picked = sample_fragments(pool, k, config.with_replacement, substream(seed, LANE_SAMPLE))
     aligned = align_pool(strands, picked, params)
-    estimated = _estimate(aligned.count_table, params, lay)
+    estimated = estimate_matrix(aligned.count_table, params)
     errors = int((estimated.counts != codeword.counts).any(axis=0).sum())
-    coverage = aligned.count_table.sum(axis=0)[~lay.fixed]
+    coverage = aligned.count_table.sum(axis=0)[~layout(params).fixed]
     report = ExperimentReport(
         fragments_sampled=k,
         discarded_fraction=aligned.tallies[FragmentClass.DISCARD] / k,
@@ -802,8 +784,8 @@ def _run(config: ChannelConfig) -> tuple[ExperimentReport, FragmentPool, np.ndar
 def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     """Run the full pipeline; deterministic given the config (incl. seed).
 
-    The stages are the public ones, chained on one layout: random_message, construct_codeword,
-    synthesize, break_strands, sample_fragments, align_pool, estimate_matrix.
+    The stages are the public ones, chained on the layout its params hold: random_message,
+    construct_codeword, synthesize, break_strands, sample_fragments, align_pool, estimate_matrix.
     `workers` (at least 1) is accepted for compatibility and has no effect; the report is
     byte-identical at any valid value.
     """

@@ -84,6 +84,10 @@ class MarkerCodeParams:
         """Base-index pattern of one marker block: anchor, marker x ell, anchor."""
         return (self.anchor_base,) + (self.marker_base,) * self.ell + (self.anchor_base,)
 
+    @functools.cached_property
+    def _layout(self) -> LayoutMap:
+        return _build_layout(self)
+
 
 @dataclass(frozen=True, eq=False)
 class LayoutMap:
@@ -130,13 +134,19 @@ class LayoutMap:
         return np.array([role in ("anchor", "marker") for role in self.roles])
 
 
-def _build_layout(params: MarkerCodeParams) -> LayoutMap:
+def layout(params: MarkerCodeParams) -> LayoutMap:
     """Column roles and allowed bases for the given parameters.
 
     The marker blocks occupy [1, ell+2] and [n-ell-1, n], laid out as
     marker_pattern(); breakers are the data columns j with
-    (j + 2) mod ell == 0; the rest of the data is free.
+    (j + 2) mod ell == 0; the rest of the data is free. Every encode, check,
+    decode and estimate asks for it, so it is built on first use and held
+    as long as the params object.
     """
+    return params._layout
+
+
+def _build_layout(params: MarkerCodeParams) -> LayoutMap:
     ell, span, bases = params.ell, params.ell + 2, np.arange(1, params.q + 1)
     masks = {
         "anchor": bases == params.anchor_base,
@@ -151,16 +161,6 @@ def _build_layout(params: MarkerCodeParams) -> LayoutMap:
     allowed = np.column_stack([masks[role] for role in roles])
     allowed.flags.writeable = False
     return LayoutMap(params.alphabet, roles, allowed, tuple(map(radix.__getitem__, roles)))
-
-
-# Every encode, check, decode and estimate asks for the layout, which depends only on the (frozen)
-# params. The memo keeps layouts of at most 2^16 cells, so its 64 masks hold at most 4 MB at any q.
-_layout_memo = functools.lru_cache(maxsize=64)(_build_layout)
-
-
-@functools.wraps(_build_layout)
-def layout(params: MarkerCodeParams) -> LayoutMap:
-    return (_layout_memo if params.q * params.n <= 1 << 16 else _build_layout)(params)
 
 
 def _data_role(j: int, ell: int) -> str:
@@ -194,11 +194,7 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     column unranks its symbol over its allowed bases; marker-block columns
     take symbol 0.
     """
-    return _encode(message, params, layout(params))
-
-
-def _encode(message: Sequence[int], params: MarkerCodeParams, lay: LayoutMap) -> CompositeMatrix:
-    """construct_codeword on `lay`, the layout of params."""
+    lay = layout(params)
     data = lay.data_positions()
     if len(message) != len(data):
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")
@@ -364,24 +360,23 @@ def classify_fragment(fragment: Sequence[int], params: MarkerCodeParams) -> Frag
     Everything else is discarded, including fragments shorter than a marker
     block and sub-length fragments that match at both ends (ambiguous).
     """
-    n = params.n
-    length = len(fragment)
+    n, length = params.n, len(fragment)
     if length > n:
         raise ValueError(f"fragment of length {length} exceeds codeword length {n}")
     pattern = params.marker_pattern()
     span = len(pattern)
-    if length < span:
-        return FragmentClass.DISCARD
-    head = tuple(int(b) for b in fragment[:span])
-    tail = tuple(int(b) for b in fragment[length - span :])
-    starts = head == pattern
-    ends = tail == pattern
-    if length == span and starts:
+    head = tuple(int(b) for b in fragment[:span]) == pattern
+    tail = length >= span and tuple(int(b) for b in fragment[length - span :]) == pattern
+    return _class_rule(head, tail, length == n, length == span)
+
+
+def _class_rule(head: bool, tail: bool, full: bool, bare: bool) -> FragmentClass:
+    """The class of a fragment that starts (head) or ends (tail) with the marker block and whose
+    length is n (full) or one block (bare); the channel's class table is this rule too."""
+    if bare and head:
         return FragmentClass.MARKER_ONLY
-    if starts and ends:
-        return FragmentClass.FULL if length == n else FragmentClass.DISCARD
-    if starts:
+    if head and tail:
+        return FragmentClass.FULL if full else FragmentClass.DISCARD
+    if head:
         return FragmentClass.PREFIX
-    if ends:
-        return FragmentClass.SUFFIX
-    return FragmentClass.DISCARD
+    return FragmentClass.SUFFIX if tail else FragmentClass.DISCARD

@@ -726,6 +726,27 @@ class TestSeedRange:
             run_experiment(make_config(seed=2**64))
 
 
+class TestLaneAndLengthRange:
+    """substream's lane and break_strands' n are checked before numpy sees them."""
+
+    @pytest.mark.parametrize("lane", [-1, 16, 2**70])
+    def test_substream_rejects_a_lane_outside_16(self, lane):
+        with pytest.raises(ValueError, match=rf"substream lane {lane} outside \[0, 16\)$"):
+            substream(1, lane)
+
+    def test_substream_accepts_lane_15(self):
+        assert substream(1, 15).random() != substream(1, 0).random()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_break_strands_rejects_n_below_1(self, n):
+        with pytest.raises(ValueError, match=rf"strand length must be >= 1, got n={n}$"):
+            break_strands(n, PerBond(0.5), 3, 1)
+
+    def test_break_strands_at_n_1_keeps_each_strand_whole(self):
+        pool = break_strands(1, PerBond(0.5), 3, 1)
+        assert pool.strand.tolist() == [0, 1, 2] and pool.start.tolist() == pool.end.tolist() == [1, 1, 1]
+
+
 class TestHugeValuesInErrors:
     """A rejected integer past the 4300-digit int-to-str limit is named briefly, by the range it misses."""
 
@@ -884,7 +905,7 @@ class TestMemoryLinearInQ:
         # and faults them in again at the next start.
         params = MarkerCodeParams(alphabet=DNA, n=100, ell=3)
         config = ChannelConfig(params, 10_000, ExactlyT(1, (5, 95)), None, False, 1)
-        run_experiment(config)  # the first call's one-off costs (the layout memo) are no operation's
+        run_experiment(config)  # the first call's one-off costs (the layout its params hold) are no operation's
         report, peak = self._traced(lambda: run_experiment(config))
         assert report.exact_recovery
         assert peak < 2_200_000
@@ -898,8 +919,8 @@ class TestMemoryLinearInQ:
 
 
 class TestLayoutBuiltOnce:
-    """Past the layout memo's 2^16 cells every layout() call builds the layout afresh, so one
-    run_experiment builds it once and hands it to its stages."""
+    """A params object builds its layout on first use and holds it, so one run_experiment builds it
+    once at any q * n, here past 2^16 cells."""
 
     def test_one_build_a_run(self, monkeypatch):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=2048, M=1), n=40, ell=3)

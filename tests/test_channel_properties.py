@@ -233,6 +233,9 @@ class TestClassTable:
             want = tuple(FragmentClass).index(classify_fragment(frag, params))
             assert channel._CLASS_OF[code] == want and predicted == want
         assert codes == {0, 1, 2, 3, 4, 5, 6, 7, 8, 11}
+        assert {code: tuple(FragmentClass)[channel._CLASS_OF[code]].value for code in codes} == {
+            0: "Discard", 1: "Prefix", 2: "Suffix", 3: "Discard", 4: "Discard", 5: "Prefix", 6: "Suffix", 7: "Full",
+            8: "Discard", 11: "MarkerOnly"}
         assert all(result.tallies.values())  # every class occurs
 
 

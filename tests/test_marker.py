@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from compodna import (
     AlphabetParams,
+    ChannelConfig,
     CompositeMatrix,
     FragmentClass,
     InvalidCodewordError,
     MarkerCodeParams,
+    PerBond,
     alphabet_size,
     asymptotic_optimal_ell,
     classify_fragment,
@@ -29,9 +31,12 @@ from compodna import (
     measured_code_redundancy,
     message_radices,
     optimal_marker_length,
+    random_message,
     restricted_symbol_count,
+    run_experiment,
     synthesize,
 )
+from compodna import marker
 from compodna.marker import _check_radices
 
 DNA = AlphabetParams(q=4, M=6)
@@ -113,9 +118,20 @@ class TestLayout:
             tracemalloc.stop()
         assert held < 8 << 20
 
-    @pytest.mark.parametrize("n", [100, 1000])
-    def test_memo_keeps_the_benchmark_layouts(self, n):
-        assert layout(marker_params(n=n, ell=3)) is layout(marker_params(n=n, ell=3))
+    @pytest.mark.parametrize("q, m, n", [(4, 6, 100), (2048, 1, 40)])  # sim-short's shape; past 2^16 cells
+    def test_one_build_a_params_object(self, monkeypatch, q, m, n):
+        # A params object builds its layout on first use and holds it; an equal object builds its own.
+        built, calls = marker._build_layout, []
+        monkeypatch.setattr(marker, "_build_layout", lambda params: calls.append(params) or built(params))
+        objects = [MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=n, ell=3) for _ in range(2)]
+        for params in objects:
+            message = random_message(params, 1)
+            codeword = construct_codeword(message, params)
+            assert is_valid_codeword(codeword, params)
+            assert decode_matrix(codeword, params) == message
+            assert estimate_matrix(np.array(codeword.counts), params) == codeword
+            run_experiment(ChannelConfig(params, 200, PerBond(0.01), None, False, 1))
+        assert list(map(id, calls)) == list(map(id, objects))
 
 
 class TestConstruct:
