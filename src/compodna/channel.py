@@ -117,12 +117,12 @@ class _TBreaks:
             self.bonds()
 
     def bonds(self, n: Optional[int] = None) -> tuple[int, int]:
-        """Candidate bonds (lo, hi) on strands of length n; without n, only a
-        given `bond_range` is checked, not its fit in [1, n-1]."""
+        """Candidate bonds (lo, hi) on strands of length n, none at n = 1 (where only t = 0 fits);
+        without n, only a given `bond_range` is checked, not its fit in [1, n-1]."""
         lo, hi = self.bond_range if self.bond_range is not None else (1, n - 1)
         if n is not None and (lo < 1 or hi > n - 1):
             raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
-        if lo > hi:
+        if self.bond_range is not None and lo > hi:
             raise ValueError(f"bond range ({lo}, {hi}) is empty")
         if self.t > hi - lo + 1:
             raise ValueError(f"cannot place {self.t} distinct breaks among {hi - lo + 1} bonds")
@@ -216,7 +216,7 @@ class ChannelConfig:
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)
         _check_radices(self.code_params)
-        _check_base_count(self.code_params.q)
+        _base_dtype(self.code_params.q)
 
     def to_json_dict(self) -> dict:
         out = {key: getattr(self, key) for key in _CONFIG_FIELDS}
@@ -250,15 +250,11 @@ def _slots_per_word(m: int) -> int:
     return next(k for k in range(32, 0, -1) if m**k <= 1 << 32)
 
 
-def _check_base_count(q: int) -> None:
-    """Synthesized strands hold 1-based bases as uint8 below q = 256 and as int16 from there
-    (_base_dtype), so q may be at most 32,767."""
+def _base_dtype(q: int) -> np.dtype:
+    """The strand matrix's dtype, and the width of a chunk table's lanes: 1-based bases as uint8
+    below q = 256 and as int16 from there, so q may be at most 32,767."""
     if q > np.iinfo(np.int16).max:
         raise ValueError(f"synthesized strands hold bases as int16, so q must be <= 32767, got q={brief(q)}")
-
-
-def _base_dtype(q: int) -> np.dtype:
-    """The strand matrix's dtype, and the width of a chunk table's lanes: one byte below q = 256."""
     return np.dtype(np.uint8 if q < 256 else np.int16)
 
 
@@ -279,7 +275,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
-    _check_base_count(matrix.params.q)
+    dtype = _base_dtype(matrix.params.q)  # raises past q = 32,767, before any table is built
     width, big = -(-n // k), np.uint64(m**k)
     c, table = _chunk_tables(matrix, k, width)
     chunk, chunks = m**c, -(-k // c)
@@ -289,7 +285,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     else:
         # Each word's first table entry, tiled over a block of _lane_rows: one flat add a chunk position.
         first = np.tile(np.arange(0, len(table), chunks * chunk, np.uint32), (min(count, max(1, _BLOCK // width)), 1))
-    strands = np.empty((count, n), dtype=_base_dtype(matrix.params.q))
+    strands = np.empty((count, n), dtype=dtype)
 
     # One block of rows r into `out`; a block's arrays die with its call, before the next is drawn.
     def compare(r: np.ndarray, out: np.ndarray) -> None:
@@ -541,9 +537,7 @@ def _align(bases: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, params: 
         lo, hi = offsets[mine], lengths[mine]
         hi += lo
         if hi.sum() - lo.sum() >= _COLUMN_COUNT_SHARE * flat.size and (lo[1:] >= hi[:-1]).all():
-            edges = np.stack((lo, hi), axis=1).ravel()
-            del lo, hi  # the count's blocks come on top of what is live
-            _count_by_columns(flat.reshape(-1, n), edges, table)
+            _count_by_columns(flat.reshape(-1, n), lo, hi, table)
             gather &= ~mine
     usable = np.flatnonzero(gather)
     if len(usable):
@@ -587,12 +581,12 @@ def _gathered(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, column
     return table
 
 
-def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray) -> None:
+def _count_by_columns(strands: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray) -> None:
     """Count into the zero flat (q * n) `table` the bases of `strands` in the ascending, disjoint
-    flat ranges [edges[2i], edges[2i + 1]), at their own columns: the column counts of the whole
-    matrix, less the bases in the gaps between the ranges, gathered row by row. Bases 2..q are
-    counted one pass each over blocks of at most 16 * _BLOCK positions and 255 rows, a block's
-    hits summed per column in uint8; base 1 takes what they leave of the rows."""
+    flat ranges [lo[i], hi[i]), at their own columns: the column counts of the whole matrix, less
+    the bases in the gaps between the ranges, gathered row by row. Bases 2..q are counted one pass
+    each over blocks of at most 16 * _BLOCK positions and 255 rows, a block's hits summed per
+    column in uint8; base 1 takes what they leave of the rows."""
     rows, n = strands.shape
     counts = table.reshape(-1, n)
     # A reduce's inner loop runs along a row, so `fold` rows laid side by side (about _BLOCK / 4
@@ -602,12 +596,11 @@ def _count_by_columns(strands: np.ndarray, edges: np.ndarray, table: np.ndarray)
     wide = rows - rows % fold
     for part in strands[:wide].reshape(-1, fold * n), strands[wide:]:
         step = min(max(1, 16 * _BLOCK // part.shape[1]), np.iinfo(np.uint8).max)
-        for lo in range(0, len(part), step):
+        for top in range(0, len(part), step):
             for b in range(1, len(counts)):
-                hits = (part[lo : lo + step] == b + 1).view(np.uint8).sum(axis=0, dtype=np.uint8)
+                hits = (part[top : top + step] == b + 1).view(np.uint8).sum(axis=0, dtype=np.uint8)
                 counts[b] += hits.reshape(-1, n).sum(axis=0, dtype=np.intp)
     counts[0] = rows - counts[1:].sum(axis=0)
-    lo, hi = edges[::2], edges[1::2]
     inner = np.flatnonzero(lo[1:] > hi[:-1])  # ranges that a gap follows, the last range aside
     # The gaps [a, b): before the first range, after each inner one and after the last; empty ones go.
     a, b = np.concatenate(([0], hi[inner], hi[-1:])), np.concatenate((lo[:1], lo[inner + 1], [strands.size]))

@@ -104,25 +104,25 @@ class LayoutMap:
     allowed: np.ndarray
     radices: tuple[int, ...]  # values per column: C(M+k-1, k-1) for k allowed bases
 
-    def _positions(self, *roles: str) -> list[int]:
-        return [j for j, role in enumerate(self.roles, start=1) if role in roles]
+    def _positions(self, role: str) -> frozenset[int]:
+        return frozenset(j for j, r in enumerate(self.roles, start=1) if r == role)
 
     @property
     def marker_positions(self) -> frozenset[int]:
         """Anchor and marker columns: both marker blocks."""
-        return frozenset(self._positions("anchor", "marker"))
+        return frozenset((np.flatnonzero(self.fixed) + 1).tolist())
 
     @property
     def breaker_positions(self) -> frozenset[int]:
-        return frozenset(self._positions("breaker"))
+        return self._positions("breaker")
 
     @property
     def free_positions(self) -> frozenset[int]:
-        return frozenset(self._positions("free"))
+        return self._positions("free")
 
     def data_positions(self) -> list[int]:
         """Breaker and free columns in ascending column order."""
-        return self._positions("breaker", "free")
+        return (np.flatnonzero(~self.fixed) + 1).tolist()
 
     def data_radices(self) -> list[int]:
         """The radix of each data column, in data_positions() order."""

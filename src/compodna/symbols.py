@@ -307,9 +307,6 @@ def _unrank_composition(index: int, parts: int, total: int) -> tuple[int, ...]:
     return (_unrank_memo if parts <= 256 else _unrank_bars)(index, parts, total)
 
 
-_unrank_composition.cache_info = _unrank_memo.cache_info  # the memo's statistics, as lru_cache gives them
-
-
 def enumerate_symbols(params: AlphabetParams) -> list[CompositeSymbol]:
     """All Q symbols exactly once, in colexicographic order of counts."""
     return [CompositeSymbol(c) for c in _compositions(params.q, params.M)]

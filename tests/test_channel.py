@@ -746,6 +746,16 @@ class TestLaneAndLengthRange:
         pool = break_strands(1, PerBond(0.5), 3, 1)
         assert pool.strand.tolist() == [0, 1, 2] and pool.start.tolist() == pool.end.tolist() == [1, 1, 1]
 
+    @pytest.mark.parametrize("kind", [ExactlyT, AtMostT])
+    def test_zero_breaks_at_n_1_need_no_bond(self, kind):
+        # A one-base strand has no bond; t = 0 places none, so each strand stays whole, as under PerBond above.
+        pool = break_strands(1, kind(t=0), 3, 1)
+        assert pool.strand.tolist() == [0, 1, 2] and pool.start.tolist() == pool.end.tolist() == [1, 1, 1]
+        pieces = apply_breaks_traced(np.array([3]), kind(t=0), substream(1, LANE_BREAK, 0))
+        assert [(s, piece.tolist()) for s, piece in pieces] == [(1, [3])]
+        with pytest.raises(ValueError, match=r"cannot place 1 distinct breaks among 0 bonds"):
+            break_strands(1, kind(t=1), 3, 1)
+
 
 class TestHugeValuesInErrors:
     """A rejected integer past the 4300-digit int-to-str limit is named briefly, by the range it misses."""

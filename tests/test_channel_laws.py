@@ -257,9 +257,9 @@ class TestPerBondFragmentLaws:
         pool = break_strands(self.N, PerBond(p=self.P), self.S, seed)
         counted, covered = channel._count_by_columns, []
 
-        def record(strands, edges, table):
-            covered.append(int((edges[1::2] - edges[::2]).sum()))
-            counted(strands, edges, table)
+        def record(strands, lo, hi, table):
+            covered.append(int((hi - lo).sum()))
+            counted(strands, lo, hi, table)
 
         # Such a pool covers about 0.71 of the matrix, near the share cut: lift the cut.
         monkeypatch.setattr(channel, "_COLUMN_COUNT_SHARE", 0)

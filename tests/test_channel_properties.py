@@ -302,9 +302,9 @@ class TestRepeatedFragments:
         assert lengths[first].sum() > 0.8 * strands.size and lengths[once].sum() < 0.35 * strands.size
         counted, calls = channel._count_by_columns, []
 
-        def record(strands, edges, table):
-            calls.append(edges)
-            counted(strands, edges, table)
+        def record(strands, lo, hi, table):
+            calls.append(np.stack((lo, hi), axis=1).ravel())  # the ranges' edges, interleaved
+            counted(strands, lo, hi, table)
 
         monkeypatch.setattr(channel, "_count_by_columns", record)
         by_columns = align_pool(strands, picked, params)
@@ -362,9 +362,9 @@ class TestColumnCountGaps:
         pool = pool[keep]
         counted, edges = channel._count_by_columns, []
 
-        def record(strands, ranges, table):
-            edges.append(ranges)
-            counted(strands, ranges, table)
+        def record(strands, lo, hi, table):
+            edges.append(np.stack((lo, hi), axis=1).ravel())
+            counted(strands, lo, hi, table)
 
         monkeypatch.setattr(channel, "_count_by_columns", record)
         for cap in TestBlockSizes.CAPS:
@@ -482,7 +482,7 @@ class TestInt16ColumnCounts:
         monkeypatch.setattr(channel, "_BLOCK", 1 << 20)
         strands = np.full((40_000, 10), 3, dtype=np.int16)
         table = np.zeros(4 * 10, dtype=np.int64)
-        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        channel._count_by_columns(strands, np.array([0]), np.array([strands.size]), table)
         assert (table.reshape(4, 10) == np.array([[0], [0], [40_000], [0]])).all()
 
     # At n = 25 and _BLOCK = 4000, 40 rows fold into one wide row, and 32 wide rows make a
@@ -492,7 +492,7 @@ class TestInt16ColumnCounts:
         monkeypatch.setattr(channel, "_BLOCK", 4000)
         strands = np.random.default_rng(rows).integers(1, 5, size=(rows, 25)).astype(np.int16)
         table = np.zeros(4 * 25, dtype=np.int64)
-        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        channel._count_by_columns(strands, np.array([0]), np.array([strands.size]), table)
         assert (table.reshape(4, 25) == [(strands == b).sum(axis=0) for b in range(1, 5)]).all()
 
 
@@ -503,7 +503,7 @@ class TestByteColumnCounts:
         assert channel._BLOCK // 4 // 13 == 315
         strands = np.full((300, 13), 2, dtype=np.int16)
         table = np.zeros(4 * 13, dtype=np.int64)
-        channel._count_by_columns(strands, np.array([0, strands.size]), table)
+        channel._count_by_columns(strands, np.array([0]), np.array([strands.size]), table)
         assert (table.reshape(4, 13) == np.array([[0], [300], [0], [0]])).all()
 
 

@@ -105,9 +105,9 @@ class TestLayout:
         with pytest.raises(ValueError):
             MarkerCodeParams(alphabet=DNA, n=30, ell=3, marker_base=5)
 
-    def test_memo_keeps_no_large_mask(self):
-        # Each layout at q = 32,767 holds a mask of 3.3 to 3.9 M cells; the memo keeps only
-        # layouts of at most 2^16 cells, so the 20 are freed once used.
+    def test_a_layout_is_freed_with_its_params(self):
+        # Each layout at q = 32,767 holds a mask of 3.3 to 3.9 M cells. Only its params object
+        # holds it, so each of the 20 is freed with the params it was built for.
         alphabet = AlphabetParams(q=32767, M=1)
         tracemalloc.start()
         try:

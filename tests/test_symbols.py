@@ -21,7 +21,7 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
-from compodna.symbols import _unrank_composition, csv_row, json_value
+from compodna.symbols import _unrank_composition, _unrank_memo, csv_row, json_value
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -166,7 +166,7 @@ class TestRankUnrank:
         indices = sorted({*range(min(size, 100)), size // 3, size // 2, size - 1})
         for k in indices * 2:  # the second pass reads the cache
             assert _unrank_composition(k, q, m) == _unrank_composition.__wrapped__(k, q, m)
-        assert _unrank_composition.cache_info().maxsize is not None
+        assert _unrank_memo.cache_info().maxsize is not None
 
     def test_memo_holds_at_most_2_to_the_20_parts(self):
         # 200 symbols at q = 32,767 have 6.5 M parts; a memo may keep at most 2^20 of them.
