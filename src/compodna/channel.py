@@ -64,12 +64,14 @@ _COLUMN_COUNT_Q = 16
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
-    """Independent Philox stream keyed by (seed, lane, index); seed in [0, 2^64).
+    """Independent Philox stream keyed by (seed, lane, index); seed an integer in [0, 2^64).
 
     Index 0 is the lane's own stream, which the batched stages read row by
     row (see the module docstring). Other indices give independent streams
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {brief(seed)}")  # Philox's uint64 key would truncate it
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {brief(seed)} outside [0, 2^64)")
     if not 0 <= lane < 16:
@@ -365,6 +367,8 @@ def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Opt
 
 def _break_width(model: BreakModel, n: int) -> int:
     """Uniforms per strand: one per bond, or a count draw (unused by ExactlyT) plus t Floyd draws."""
+    if n < 1:
+        raise ValueError(f"strand length must be >= 1, got n={brief(n)}")
     return n - 1 if isinstance(model, PerBond) else model.t + 1
 
 
@@ -426,8 +430,6 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     """
     if count < 1:
         raise ValueError(f"strand count must be >= 1, got {count}")
-    if n < 1:
-        raise ValueError(f"strand length must be >= 1, got n={brief(n)}")
     width = _break_width(model, n)
     lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
     blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]

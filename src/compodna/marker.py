@@ -124,10 +124,6 @@ class LayoutMap:
         """Breaker and free columns in ascending column order."""
         return (np.flatnonzero(~self.fixed) + 1).tolist()
 
-    def data_radices(self) -> list[int]:
-        """The radix of each data column, in data_positions() order."""
-        return [self.radices[j - 1] for j in self.data_positions()]
-
     @functools.cached_property
     def fixed(self) -> np.ndarray:
         """(n,) mask of the anchor and marker columns, whose one value is full weight on their base."""
@@ -184,7 +180,8 @@ def _check_radices(params: MarkerCodeParams) -> None:
 
 def message_radices(params: MarkerCodeParams) -> list[int]:
     """Per-data-column alphabet sizes: Q at free columns, Q-R at breakers."""
-    return layout(params).data_radices()
+    lay = layout(params)
+    return [lay.radices[j - 1] for j in lay.data_positions()]
 
 
 def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> CompositeMatrix:
@@ -198,6 +195,10 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     data = lay.data_positions()
     if len(message) != len(data):
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")
+    if not set(map(type, message)) <= {int}:  # only a message of other types pays for the per-symbol check
+        for j, sym in zip(data, message):
+            if isinstance(sym, bool) or not isinstance(sym, (int, np.integer)):
+                raise ValueError(f"message symbol {brief(sym)} at column {j} is not an integer")
     symbols = [0] * params.n
     for j, sym in zip(data, message):
         radix = lay.radices[j - 1]

@@ -725,6 +725,21 @@ class TestSeedRange:
         with pytest.raises(ValueError, match="seed 18446744073709551616 outside"):
             run_experiment(make_config(seed=2**64))
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2)], ids=repr)
+    def test_substream_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # Philox's uint64 key would truncate a float seed, so 1.5 would run as seed 1.
+        with pytest.raises(ValueError, match=rf"seed must be an integer, got {re.escape(repr(seed))}$"):
+            substream(seed, LANE_SYNTH)
+
+    def test_substream_accepts_a_numpy_integer_seed(self):
+        assert substream(np.uint64(7), LANE_SYNTH).random() == substream(7, LANE_SYNTH).random()
+
+    def test_float_seed_rejected_end_to_end(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5$"):
+            run_experiment(make_config(seed=1.5))
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.9$"):
+            random_message(make_config().code_params, 1.9)
+
 
 class TestLaneAndLengthRange:
     """substream's lane and break_strands' n are checked before numpy sees them."""
@@ -741,6 +756,12 @@ class TestLaneAndLengthRange:
     def test_break_strands_rejects_n_below_1(self, n):
         with pytest.raises(ValueError, match=rf"strand length must be >= 1, got n={n}$"):
             break_strands(n, PerBond(0.5), 3, 1)
+
+    @pytest.mark.parametrize("model", [PerBond(0.5), ExactlyT(0), AtMostT(0)], ids=repr)
+    def test_apply_breaks_traced_rejects_an_empty_strand(self, model):
+        # The check break_strands makes, before numpy sees the empty strand.
+        with pytest.raises(ValueError, match=r"strand length must be >= 1, got n=0$"):
+            apply_breaks_traced(np.array([], np.uint8), model, substream(1, LANE_BREAK))
 
     def test_break_strands_at_n_1_keeps_each_strand_whole(self):
         pool = break_strands(1, PerBond(0.5), 3, 1)

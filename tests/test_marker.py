@@ -177,6 +177,20 @@ class TestConstruct:
         with pytest.raises(ValueError, match="radix"):
             construct_codeword(message, params)
 
+    @pytest.mark.parametrize("symbol", [1.5, 83.9, 1.0, True, np.float64(1)], ids=repr)
+    def test_symbol_that_is_not_an_integer_rejected(self, symbol):
+        # Column 6 is free (radix 84): none of these is out of range, so each would be encoded as its floor.
+        params = marker_params(n=30, ell=3)
+        message = [0] * len(message_radices(params))
+        message[0] = symbol
+        with pytest.raises(ValueError, match=r"at column 6 is not an integer$"):
+            construct_codeword(message, params)
+
+    def test_numpy_integer_symbols_accepted(self):
+        params = marker_params(n=30, ell=3)
+        message = np.arange(len(message_radices(params))) % 28
+        assert construct_codeword(message, params) == construct_codeword(message.tolist(), params)
+
     def test_length_mismatch_rejected(self):
         params = marker_params(n=30, ell=3)
         with pytest.raises(ValueError, match="message"):
