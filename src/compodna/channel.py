@@ -37,7 +37,7 @@ import numpy as np
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
 from .marker import _check_radices, _class_rule
 from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
-from .symbols import _apportion, _count_dtype
+from .symbols import _apportion, _count_dtype, _int_arg
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
 # and the message draw each get a disjoint key space.
@@ -52,8 +52,10 @@ LANE_MESSAGE = 3
 _BLOCK = 1 << 14
 # Entries in all of synthesis's chunk tables together: n = 1000 at M = 6 needs 326,592 at c = 4.
 _TABLE_CAP = 1 << 19
-# Below this q, q - 1 compare passes a slot cost less than a lookup of chunks narrower than 4
-# digits, or of a short last chunk (synthesize ratios up to 1.2 at q = 16, all below 1 at 24).
+# Compare passes below this q unless every chunk is 4 whole digits (synthesize, ms, 2 cores). At q = 4
+# they beat c <= 2 tables 1.4-1.8x and c = 4 tables with a short last chunk ((4, 7, 100; 5,000 strands)
+# 1.4-1.55 vs 1.9-2.0), but from q = 8 those tables are faster (passes -> tables): (8, 7, 100; 10,000
+# strands) 3.5-3.8 -> 2.5-2.6, (16, 7, 100) 5.2 -> 2.5-2.7 and (20, 5, 100) 5.3 -> 2.3-2.5.
 _TABLE_Q = 24
 # align_pool counts by columns when that covers this share of the strand matrix; below
 # it the gather is faster (the times cross near 0.63 at n = 100, 0.60 at n = 1000).
@@ -70,22 +72,21 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     row (see the module docstring). Other indices give independent streams
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {brief(seed)}")  # Philox's uint64 key would truncate it
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {brief(seed)} outside [0, 2^64)")
-    if not 0 <= lane < 16:
-        raise ValueError(f"substream lane {brief(lane)} outside [0, 16)")
-    if not 0 <= index < 1 << 60:
-        raise ValueError(f"substream index {brief(index)} outside [0, 2^60)")
+    _int_arg(seed, "seed", 0, 1 << 64, "2^64")  # an integer: Philox's uint64 key would truncate a float
+    _int_arg(lane, "substream lane", 0, 16)
+    _int_arg(index, "substream index", 0, 1 << 60, "2^60")
     key = np.array([seed, (lane << 60) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _block_rows(stride: int) -> int:
+    return max(1, _BLOCK // max(stride, 1))
+
+
 def _lane_rows(draw: Callable[[int], np.ndarray], count: int, stride: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row offset, block of rows) covering `count` rows, max(1, _BLOCK // stride) rows a block:
+    """Yield (row offset, block of rows) covering `count` rows, max(1, _BLOCK // stride) a block (_block_rows):
     row i is draws i * stride .. i * stride + stride - 1 of the lane that `draw(size)` reads on."""
-    step = max(1, _BLOCK // max(stride, 1))
+    step = _block_rows(stride)
     for lo in range(0, count, step):
         rows = min(step, count - lo)
         yield lo, draw(rows * stride).reshape(rows, stride)
@@ -113,8 +114,7 @@ class _TBreaks:
     bond_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"break count must be >= 0, got {brief(self.t)}")
+        _int_arg(self.t, "break count", 0)
         if self.bond_range is not None:
             self.bonds()
 
@@ -210,10 +210,9 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.strand_count < 1:
-            raise ValueError(f"strand_count must be >= 1, got {brief(self.strand_count)}")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1 (or null for full pool), got {brief(self.sample_size)}")
+        _int_arg(self.strand_count, "strand_count", 1)
+        if self.sample_size is not None:
+            _int_arg(self.sample_size, "sample_size", 1, why="or null for the full pool")
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)
@@ -274,8 +273,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
     a time, each looked up whole in its position's table (_chunk_tables), or at c = 1 compared
     with its column's q - 1 limits: one draw.
     """
-    if count < 1:
-        raise ValueError(f"strand count must be >= 1, got {count}")
+    _int_arg(count, "strand count", 1)
     m, n, k = matrix.params.M, matrix.n, _slots_per_word(matrix.params.M)
     dtype = _base_dtype(matrix.params.q)  # raises past q = 32,767, before any table is built
     width, big = -(-n // k), np.uint64(m**k)
@@ -286,7 +284,7 @@ def synthesize(matrix: CompositeMatrix, count: int, seed: int) -> np.ndarray:
         limits[:, :n] = np.cumsum(matrix.counts, axis=0)[:-1]
     else:
         # Each word's first table entry, tiled over a block of _lane_rows: one flat add a chunk position.
-        first = np.tile(np.arange(0, len(table), chunks * chunk, np.uint32), (min(count, max(1, _BLOCK // width)), 1))
+        first = np.tile(np.arange(0, len(table), chunks * chunk, np.uint32), (min(count, _block_rows(width)), 1))
     strands = np.empty((count, n), dtype=dtype)
 
     # One block of rows r into `out`; a block's arrays die with its call, before the next is drawn.
@@ -428,8 +426,7 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     Strand i (the pool's strand row i) reads row i of the break lane, so
     the first m strands break the same way whatever `count` is.
     """
-    if count < 1:
-        raise ValueError(f"strand count must be >= 1, got {count}")
+    _int_arg(count, "strand count", 1)
     width = _break_width(model, n)
     lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
     blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]
@@ -468,13 +465,12 @@ def sample_fragments(
     size = len(pool)
     if size < 1:
         raise ValueError("fragment pool is empty")
-    if k < 1:
-        raise ValueError(f"sample size must be >= 1, got {k}")
+    _int_arg(k, "sample size", 1)
     if with_replacement:
         idx = rng.integers(0, size, size=k)
     else:
         if k > size:
-            raise ValueError(f"cannot sample {k} fragments from a pool of {size} without replacement")
+            raise ValueError(f"cannot sample {brief(k)} fragments from a pool of {size} without replacement")
         if k == size and isinstance(pool, FragmentPool):
             return pool
         idx = rng.permutation(size)[:k]
@@ -784,8 +780,7 @@ def run_experiment(config: ChannelConfig, workers: int = 1) -> ExperimentReport:
     `workers` (at least 1) is accepted for compatibility and has no effect; the report is
     byte-identical at any valid value.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {brief(workers)}")
+    _int_arg(workers, "workers", 1)
     return _run(config)[0]
 
 

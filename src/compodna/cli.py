@@ -36,12 +36,9 @@ def _parse_range(text: str, flag: str) -> list[int]:
 def _worker_count(text: str) -> int:
     """--workers: an integer >= 1; argparse reports anything else as a flag error naming the flag."""
     try:
-        workers = int(text)
+        return symbols._int_arg(int(text), "workers", 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
 
 
 def _read_input(path: str) -> str:

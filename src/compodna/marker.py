@@ -27,16 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbols import (
-    AlphabetParams,
-    CompositeMatrix,
-    _count_dtype,
-    _unrank_composition,
-    _rank_composition,
-    alphabet_size,
-    brief,
-    restricted_symbol_count,
-)
+from .symbols import AlphabetParams, CompositeMatrix, alphabet_size, brief, restricted_symbol_count
+from .symbols import _count_dtype, _int_arg, _is_int, _rank_composition, _unrank_composition
 
 
 class InvalidCodewordError(ValueError):
@@ -58,17 +50,10 @@ class MarkerCodeParams:
     anchor_base: int = 2
 
     def __post_init__(self) -> None:
-        q = self.alphabet.q
-        if self.ell < 1:
-            raise ValueError(f"marker run length ell must be >= 1, got {self.ell}")
-        if self.n < 2 * (self.ell + 2) + 1:
-            raise ValueError(
-                f"n={self.n} too small: need n >= {2 * (self.ell + 2) + 1} "
-                f"for two markers plus one data column"
-            )
-        for name, base in (("marker_base", self.marker_base), ("anchor_base", self.anchor_base)):
-            if not 1 <= base <= q:
-                raise ValueError(f"{name}={base} outside [1, {q}]")
+        _int_arg(self.ell, "marker run length ell", 1)
+        _int_arg(self.n, "codeword length n", 2 * self.ell + 5, why="too small for two markers plus one data column")
+        _int_arg(self.marker_base, "marker_base", 1, self.q + 1)
+        _int_arg(self.anchor_base, "anchor_base", 1, self.q + 1)
         if self.marker_base == self.anchor_base:
             raise ValueError("marker_base and anchor_base must differ")
 
@@ -197,13 +182,13 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")
     if not set(map(type, message)) <= {int}:  # only a message of other types pays for the per-symbol check
         for j, sym in zip(data, message):
-            if isinstance(sym, bool) or not isinstance(sym, (int, np.integer)):
+            if not _is_int(sym):
                 raise ValueError(f"message symbol {brief(sym)} at column {j} is not an integer")
     symbols = [0] * params.n
     for j, sym in zip(data, message):
         radix = lay.radices[j - 1]
         if not 0 <= sym < radix:
-            raise ValueError(f"message symbol {sym} at column {j} outside radix [0, {radix})")
+            raise ValueError(f"message symbol {brief(sym)} at column {j} outside radix [0, {brief(radix)})")
         symbols[j - 1] = sym
     m = params.M
     counts = np.zeros((params.q, params.n), dtype=_count_dtype(m))
@@ -305,8 +290,7 @@ def optimal_marker_length(q: int, M: int, n: int) -> OptimalMarkerLength:
     `ell_integer` minimizes code_redundancy_formula over the feasible integer
     ell (ties to the smaller ell); `redundancy_at_integer` is that minimum.
     """
-    if n < 9:
-        raise ValueError(f"need n >= 9, got {n}")
+    _int_arg(n, "codeword length n", 9)
     alphabet = AlphabetParams(q=q, M=M)
     lam = _breaker_cost(alphabet)
     ell_formula = math.sqrt((n - 4) / 2 * lam)
@@ -336,10 +320,9 @@ def asymptotic_optimal_ell(Q: int, R: int, n: int) -> float:
     Balances the marker cost (growing in ell) against the expected
     constraint cost (R/Q)^ell * n; the additive O(1) term is taken as 0.
     """
-    if not Q > R >= 1:
-        raise ValueError(f"need Q > R >= 1, got Q={Q}, R={R}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _int_arg(R, "restricted-subset size R", 1)
+    _int_arg(Q, "alphabet size Q", R + 1)
+    _int_arg(n, "length n", 3)
     return math.log(n / math.log(n)) / math.log(Q / R)
 
 

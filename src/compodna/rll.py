@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .symbols import csv_row
+from .symbols import _int_arg, csv_row
 
 _BRUTE_LIMIT = 20
 
@@ -40,14 +40,10 @@ class RllParams:
 
     def __post_init__(self) -> None:
         # Every figure here is in log base Q, which needs Q >= 2.
-        if self.Q < 2:
-            raise ValueError(f"alphabet size Q must be >= 2, got {self.Q}")
-        if not 0 <= self.R < self.Q:
-            raise ValueError(f"need 0 <= R < Q, got R={self.R}, Q={self.Q}")
-        if self.ell < 1:
-            raise ValueError(f"window length ell must be >= 1, got {self.ell}")
-        if self.n < 0:
-            raise ValueError(f"sequence length n must be >= 0, got {self.n}")
+        _int_arg(self.Q, "alphabet size Q", 2)
+        _int_arg(self.R, "restricted-subset size R", 0, self.Q)
+        _int_arg(self.ell, "window length ell", 1)
+        _int_arg(self.n, "sequence length n", 0)
 
 
 def is_run_length_limited(restricted_flags: Sequence[bool], ell: int) -> bool:
@@ -56,8 +52,7 @@ def is_run_length_limited(restricted_flags: Sequence[bool], ell: int) -> bool:
     `restricted_flags[i]` marks position i as carrying a restricted symbol.
     Sequences shorter than ell qualify vacuously (no full window exists).
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    _int_arg(ell, "window length ell", 1)
     run = 0
     for flag in restricted_flags:
         run = run + 1 if flag else 0
@@ -70,17 +65,17 @@ def count_rll_brute(params: RllParams) -> int:
     """Exhaustive count over all 2^n restricted/unrestricted patterns.
 
     Independent oracle for count_rll_exact: each valid position-class
-    pattern with t restricted positions contributes R^t * (Q-R)^(n-t).
-    Only feasible for small n.
+    pattern (a string, "1" at each restricted position) with t restricted
+    positions contributes R^t * (Q-R)^(n-t). Only feasible for small n.
     """
     Q, R, ell, n = params.Q, params.R, params.ell, params.n
     if n > _BRUTE_LIMIT:
         raise ValueError(f"brute-force count limited to n <= {_BRUTE_LIMIT}, got n={n}")
-    good = Q - R
+    good, run = Q - R, "1" * ell
     total = 0
-    for pattern in product((False, True), repeat=n):
-        if is_run_length_limited(pattern, ell):
-            t = sum(pattern)
+    for pattern in map("".join, product("01", repeat=n)):
+        if run not in pattern:
+            t = pattern.count("1")
             total += R**t * good ** (n - t)
     return total
 
@@ -159,10 +154,8 @@ def forbidden_block_count(j: int, k: int, Q: int, R: int, ell: int) -> int:
     over all valid pairs gives Q^(2l) - window_count_closed_form.
     """
     RllParams(Q=Q, R=R, ell=ell, n=0)
-    if not 1 <= j <= ell + 1:
-        raise ValueError(f"run start j={j} outside [1, {ell + 1}]")
-    if not ell <= k <= 2 * ell - j + 1:
-        raise ValueError(f"run length k={k} outside [{ell}, {2 * ell - j + 1}] for j={j}")
+    _int_arg(j, "run start j", 1, ell + 2)
+    _int_arg(k, "run length k", ell, 2 * ell - j + 2, why=f"for run start j={j}")
     # The run is flanked by an unrestricted symbol on each of its f sides that does not touch an end.
     f = (j > 1) + (j + k - 1 < 2 * ell)
     return R**k * (Q - R) ** f * Q ** (2 * ell - k - f)
@@ -227,8 +220,7 @@ def redundancy_upper_bounds(params: RllParams) -> RllUpperBounds:
     e log_Q(e) S is always reported.
     """
     Q, R, ell, n = params.Q, params.R, params.ell, params.n
-    if n < ell:
-        raise ValueError(f"need n >= ell, got n={n}, ell={ell}")
+    _int_arg(n, "sequence length n", ell, why="at least the window length ell")
     ratio = R / Q
     s = ratio**ell * (1 + (1 - ratio) * (n - ell))
     log_q_e = math.log(math.e, Q)
@@ -257,8 +249,7 @@ def verify_summation_identities(Q: int, R: int, ell: int) -> bool:
        at x = R/Q.
     """
     RllParams(Q=Q, R=R, ell=ell, n=0)
-    if ell < 2:
-        raise ValueError(f"identities need ell >= 2, got {ell}")
+    _int_arg(ell, "window length ell", 2)
     x = Fraction(R, Q)
     one_minus = 1 - x
 

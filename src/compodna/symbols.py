@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +35,8 @@ class AlphabetParams:
     M: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"base alphabet size q must be >= 2, got {self.q}")
-        if self.M < 1:
-            raise ValueError(f"resolution parameter M must be >= 1, got {self.M}")
+        _int_arg(self.q, "base alphabet size q", 2)
+        _int_arg(self.M, "resolution parameter M", 1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class CompositeMatrix:
         if counts.dtype != np.int64:
             entries = counts.ravel().tolist()
             for c in entries:
-                if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                if not _is_int(c):
                     raise ValueError(f"counts must be integers, got {brief(c)}")
             counts = np.array([int(c) for c in entries], dtype=object).reshape(counts.shape)
         if counts.ndim != 2 or len(counts) != q or counts.shape[1] < 1:
@@ -168,16 +166,36 @@ _MATRIX_FIELDS = {"q": ("integer", REQUIRED), "M": ("integer", REQUIRED), "colum
 
 
 def brief(value: object) -> str:
-    """`value` for an error message. An integer of more than 50 digits is
-    shown as its first ten digits and its length, read through Decimal:
-    int-to-str conversion fails past 4300 digits (Python >= 3.10.7)."""
+    """`value` for an error message. An integer (a numpy one as an int) of more
+    than 50 digits is shown as its first ten digits and its length, read through
+    Decimal: int-to-str conversion fails past 4300 digits (Python >= 3.10.7)."""
     from decimal import Decimal  # only error paths pay for the import
 
+    if isinstance(value, np.integer):
+        value = int(value)
     if isinstance(value, int):
         sign, digits, _ = Decimal(value).as_tuple()
         if len(digits) > 50:
             return f"{'-' * sign}{''.join(map(str, digits[:10]))}... ({len(digits)} digits)"
     return repr(value)
+
+
+def _is_int(value: object) -> bool:
+    """Whether `value` is an integer argument: an int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_arg(value: object, name: str, lo: int, hi: Optional[int] = None, hi_shown: str = "", why: str = "") -> int:
+    """`value` if it is an integer (_is_int) in [lo, hi), or at least lo where hi is None. Otherwise a ValueError
+    names `name` and shows each number through brief (hi as `hi_shown`); a range error ends in ` (why)`."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {brief(value)}")
+    if lo <= value and (hi is None or value < hi):
+        return value
+    note = f" ({why})" if why else ""
+    if hi is None:
+        raise ValueError(f"{name} must be >= {brief(lo)}, got {brief(value)}{note}")
+    raise ValueError(f"{name} {brief(value)} outside [{brief(lo)}, {hi_shown or brief(hi)}){note}")
 
 
 def brief_json(value: object) -> str:
@@ -247,8 +265,7 @@ def restricted_symbol_count(params: AlphabetParams, excluded_base: int) -> int:
     place zero weight on the excluded base.
     """
     q, m = params.q, params.M
-    if not 1 <= excluded_base <= q:
-        raise ValueError(f"base index {excluded_base} outside [1, {q}]")
+    _int_arg(excluded_base, "base index", 1, q + 1)
     return math.comb(m + q - 1, q - 1) - math.comb(m + q - 2, q - 2)
 
 
@@ -320,9 +337,7 @@ def rank_symbol(symbol: CompositeSymbol, params: AlphabetParams) -> int:
 
 def unrank_symbol(index: int, params: AlphabetParams) -> CompositeSymbol:
     """Inverse of rank_symbol."""
-    size = alphabet_size(params)
-    if not 0 <= index < size:
-        raise ValueError(f"symbol index {index} outside [0, {size})")
+    _int_arg(index, "symbol index", 0, alphabet_size(params))
     return CompositeSymbol(_unrank_composition(index, params.q, params.M))
 
 

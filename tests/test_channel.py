@@ -22,22 +22,32 @@ from compodna import (
     FragmentClass,
     MarkerCodeParams,
     PerBond,
+    RllParams,
     ZeroCoverageError,
     align_and_count,
     apply_breaks_traced,
+    asymptotic_optimal_ell,
     construct_codeword,
     estimate_matrix,
+    forbidden_block_count,
+    is_run_length_limited,
     layout,
     message_radices,
+    optimal_marker_length,
     random_message,
     rank_symbol,
+    redundancy_upper_bounds,
+    restricted_symbol_count,
     run_experiment,
     run_experiment_traced,
     sample_fragments,
     substream,
     synthesize,
+    unrank_symbol,
+    verify_summation_identities,
 )
 from compodna import channel, marker
+from compodna.symbols import brief
 from compodna.channel import LANE_BREAK, LANE_SAMPLE, LANE_SYNTH, align_pool, break_strands
 
 DNA = AlphabetParams(q=4, M=6)
@@ -239,6 +249,21 @@ class TestApplyBreaks:
             assert (frag == strand[first - 1 : last]).all()
             pos += len(frag)
         assert pos == len(strand) + 1
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: make_config(sample_size=0), r"^sample_size must be >= 1, got 0 \(or null for the full pool\)$"),
+        (lambda: synthesize(make_codeword(make_config().code_params), 0, 1), r"^strand count must be >= 1, got 0$"),
+        (lambda: break_strands(30, PerBond(0.1), -1, 1), r"^strand count must be >= 1, got -1$"),
+        (lambda: sample_fragments([1, 2], 0, True, substream(1, LANE_SAMPLE)), r"^sample size must be >= 1, got 0$"),
+    ],
+    ids=["sample_size", "synthesize", "break_strands", "sample_fragments"],
+)
+def test_counts_below_1_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestSampleFragments:
@@ -749,6 +774,11 @@ class TestLaneAndLengthRange:
         with pytest.raises(ValueError, match=rf"substream lane {lane} outside \[0, 16\)$"):
             substream(1, lane)
 
+    @pytest.mark.parametrize("index", [-1, 2**60])
+    def test_substream_rejects_an_index_outside_2_to_the_60(self, index):
+        with pytest.raises(ValueError, match=rf"^substream index {index} outside \[0, 2\^60\)$"):
+            substream(1, 0, index)
+
     def test_substream_accepts_lane_15(self):
         assert substream(1, 15).random() != substream(1, 0).random()
 
@@ -798,6 +828,55 @@ class TestHugeValuesInErrors:
 
     HUGE = r"1000000000\.\.\. \(5001 digits\)"
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: AlphabetParams(q=-v, M=1), rf"base alphabet size q must be >= 2, got -{HUGE}"),
+            (lambda v: AlphabetParams(q=2, M=-v), rf"resolution parameter M must be >= 1, got -{HUGE}"),
+            (lambda v: MarkerCodeParams(DNA, n=30, ell=-v), rf"marker run length ell must be >= 1, got -{HUGE}"),
+            (lambda v: MarkerCodeParams(DNA, n=-v, ell=3),
+             rf"codeword length n must be >= 11, got -{HUGE} \(too small for two markers plus one data column\)"),
+            (lambda v: MarkerCodeParams(DNA, n=30, ell=3, marker_base=v), rf"marker_base {HUGE} outside \[1, 5\)"),
+            (lambda v: MarkerCodeParams(DNA, n=30, ell=3, anchor_base=v), rf"anchor_base {HUGE} outside \[1, 5\)"),
+            (lambda v: RllParams(Q=-v, R=0, ell=1, n=0), rf"alphabet size Q must be >= 2, got -{HUGE}"),
+            (lambda v: RllParams(Q=4, R=v, ell=1, n=0), rf"restricted-subset size R {HUGE} outside \[0, 4\)"),
+            (lambda v: RllParams(Q=4, R=1, ell=-v, n=0), rf"window length ell must be >= 1, got -{HUGE}"),
+            (lambda v: RllParams(Q=4, R=1, ell=1, n=-v), rf"sequence length n must be >= 0, got -{HUGE}"),
+            (lambda v: make_config(sample_size=-v),
+             rf"sample_size must be >= 1, got -{HUGE} \(or null for the full pool\)"),
+            (lambda v: substream(1, v), rf"substream lane {HUGE} outside \[0, 16\)"),
+            (lambda v: substream(1, 0, v), rf"substream index {HUGE} outside \[0, 2\^60\)"),
+            (lambda v: synthesize(make_codeword(make_config().code_params), -v, 1),
+             rf"strand count must be >= 1, got -{HUGE}"),
+            (lambda v: break_strands(30, PerBond(0.1), -v, 1), rf"strand count must be >= 1, got -{HUGE}"),
+            (lambda v: sample_fragments([1, 2], -v, False, substream(1, LANE_SAMPLE)),
+             rf"sample size must be >= 1, got -{HUGE}"),
+            (lambda v: sample_fragments([1, 2], v, False, substream(1, LANE_SAMPLE)),
+             rf"cannot sample {HUGE} fragments from a pool of 2 without replacement"),
+            (lambda v: run_experiment(make_config(), workers=-v), rf"workers must be >= 1, got -{HUGE}"),
+            (lambda v: unrank_symbol(v, DNA), rf"symbol index {HUGE} outside \[0, 84\)"),
+            (lambda v: restricted_symbol_count(DNA, v), rf"base index {HUGE} outside \[1, 5\)"),
+            (lambda v: optimal_marker_length(4, 6, -v), rf"codeword length n must be >= 9, got -{HUGE}"),
+            (lambda v: asymptotic_optimal_ell(84, -v, 100), rf"restricted-subset size R must be >= 1, got -{HUGE}"),
+            (lambda v: asymptotic_optimal_ell(-v, 56, 100), rf"alphabet size Q must be >= 57, got -{HUGE}"),
+            (lambda v: asymptotic_optimal_ell(84, 56, -v), rf"length n must be >= 3, got -{HUGE}"),
+            (lambda v: is_run_length_limited([], -v), rf"window length ell must be >= 1, got -{HUGE}"),
+            (lambda v: forbidden_block_count(v, 2, Q=2, R=1, ell=2), rf"run start j {HUGE} outside \[1, 4\)"),
+            (lambda v: forbidden_block_count(1, v, Q=2, R=1, ell=2),
+             rf"run length k {HUGE} outside \[2, 5\) \(for run start j=1\)"),
+            (lambda v: redundancy_upper_bounds(RllParams(Q=4, R=1, ell=v, n=3)),
+             rf"sequence length n must be >= {HUGE}, got 3 \(at least the window length ell\)"),
+        ],
+        ids=["q", "M", "ell", "n", "marker_base", "anchor_base", "Q", "R", "rll-ell", "rll-n", "sample_size", "lane",
+             "index", "synthesize", "break_strands", "sample_fragments", "without-replacement", "workers",
+             "unrank_symbol", "restricted_symbol_count", "optimal_marker_length", "asymptotic-R", "asymptotic-Q",
+             "asymptotic-n", "is_run_length_limited", "run-start", "run-length", "upper-bounds"],
+    )
+    def test_every_integer_argument_names_its_range(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            make(10**5000)
+        assert len(str(exc.value)) < 200
+
     def test_mistyped_field_names_its_kind(self):
         obj = json.loads(make_config().to_json())
         with pytest.raises(ValueError, match=rf"^config\.code_params must be an object, got {self.HUGE}$"):
@@ -809,6 +888,57 @@ class TestHugeValuesInErrors:
         model = {"kind": "exactly_t", "t": 1, "bond_range": [10**5000, 1, 2]}
         with pytest.raises(ValueError, match=rf"must hold two integers, got \[{self.HUGE}, 1, 2\]$"):
             channel.break_model_from_json_dict(model)
+
+
+class TestIntegerArguments:
+    """An integer argument is an int or a numpy integer, never a float or a bool, and a rejected
+    one is named in the error. Each site below takes `make(value)` and is valid at `good`."""
+
+    SITES = {
+        "q": (lambda v: AlphabetParams(q=v, M=6), "base alphabet size q", 4),
+        "M": (lambda v: AlphabetParams(q=4, M=v), "resolution parameter M", 6),
+        "ell": (lambda v: MarkerCodeParams(DNA, n=30, ell=v), "marker run length ell", 3),
+        "n": (lambda v: MarkerCodeParams(DNA, n=v, ell=3), "codeword length n", 30),
+        "marker_base": (lambda v: MarkerCodeParams(DNA, n=30, ell=3, marker_base=v), "marker_base", 1),
+        "anchor_base": (lambda v: MarkerCodeParams(DNA, n=30, ell=3, anchor_base=v), "anchor_base", 2),
+        "Q": (lambda v: RllParams(Q=v, R=1, ell=2, n=5), "alphabet size Q", 4),
+        "R": (lambda v: RllParams(Q=4, R=v, ell=2, n=5), "restricted-subset size R", 1),
+        "rll-ell": (lambda v: RllParams(Q=4, R=1, ell=v, n=5), "window length ell", 2),
+        "rll-n": (lambda v: RllParams(Q=4, R=1, ell=2, n=v), "sequence length n", 5),
+        "t": (lambda v: ExactlyT(t=v), "break count", 1),
+        "strand_count": (lambda v: make_config(strand_count=v), "strand_count", 20),
+        "sample_size": (lambda v: make_config(sample_size=v), "sample_size", 10),
+        "lane": (lambda v: substream(1, v), "substream lane", 2),
+        "index": (lambda v: substream(1, 0, v), "substream index", 3),
+        "synthesize": (lambda v: synthesize(make_codeword(make_config().code_params), v, 1), "strand count", 5),
+        "break_strands": (lambda v: break_strands(30, PerBond(0.1), v, 1), "strand count", 5),
+        "sample_fragments": (lambda v: sample_fragments([1, 2], v, True, substream(1, LANE_SAMPLE)), "sample size", 2),
+        "workers": (lambda v: run_experiment(make_config(strand_count=20), workers=v), "workers", 2),
+        "unrank_symbol": (lambda v: unrank_symbol(v, DNA), "symbol index", 5),
+        "restricted_symbol_count": (lambda v: restricted_symbol_count(DNA, v), "base index", 2),
+        "optimal_marker_length": (lambda v: optimal_marker_length(4, 6, v), "codeword length n", 30),
+        "asymptotic-R": (lambda v: asymptotic_optimal_ell(84, v, 100), "restricted-subset size R", 56),
+        "asymptotic-Q": (lambda v: asymptotic_optimal_ell(v, 56, 100), "alphabet size Q", 84),
+        "asymptotic-n": (lambda v: asymptotic_optimal_ell(84, 56, v), "length n", 100),
+        "is_run_length_limited": (lambda v: is_run_length_limited([True], v), "window length ell", 2),
+        "run-start": (lambda v: forbidden_block_count(v, 2, Q=2, R=1, ell=2), "run start j", 1),
+        "run-length": (lambda v: forbidden_block_count(1, v, Q=2, R=1, ell=2), "run length k", 2),
+        "identities": (lambda v: verify_summation_identities(3, 1, v), "window length ell", 2),
+    }
+
+    @pytest.mark.parametrize("kind", [float, bool, np.float64], ids=["float", "bool", "np.float64"])
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_a_float_or_a_bool_is_rejected(self, site, kind):
+        make, name, good = self.SITES[site]
+        value = kind(good)
+        # Each value is in range, so before it was read as the integer it equals (or failed inside numpy).
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(brief(value))}$"):
+            make(value)
+
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_a_numpy_integer_is_accepted(self, site):
+        make, _, good = self.SITES[site]
+        make(np.int64(good))
 
 
 class TestResolutionLimits:

@@ -642,3 +642,12 @@ class TestFlagErrors:
             main(["simulate", "--config", str(path), "--workers", workers])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["abc", "1.5", ""])
+    def test_workers_not_an_integer_exits_2(self, capsys, tmp_path, workers):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASE_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"argument --workers: must be an integer >= 1, got {workers!r}" in capsys.readouterr().err

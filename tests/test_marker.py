@@ -99,6 +99,11 @@ class TestLayout:
         with pytest.raises(ValueError, match="too small"):
             MarkerCodeParams(alphabet=DNA, n=8, ell=2)
 
+    @pytest.mark.parametrize("ell", [0, -2])
+    def test_ell_below_1_rejected(self, ell):
+        with pytest.raises(ValueError, match=rf"^marker run length ell must be >= 1, got {ell}$"):
+            MarkerCodeParams(alphabet=DNA, n=30, ell=ell)
+
     def test_base_constraints(self):
         with pytest.raises(ValueError):
             MarkerCodeParams(alphabet=DNA, n=30, ell=3, marker_base=1, anchor_base=1)
@@ -184,6 +189,24 @@ class TestConstruct:
         message = [0] * len(message_radices(params))
         message[0] = symbol
         with pytest.raises(ValueError, match=r"at column 6 is not an integer$"):
+            construct_codeword(message, params)
+
+    def test_huge_symbol_named_briefly_with_its_radix(self):
+        # Past 4300 digits, str() of the symbol would raise in place of the message.
+        params = marker_params(n=30, ell=3)
+        message = [0] * len(message_radices(params))
+        message[0] = -(10**5000)
+        message_re = r"^message symbol -1000000000\.\.\. \(5001 digits\) at column 6 outside radix \[0, 84\)$"
+        with pytest.raises(ValueError, match=message_re):
+            construct_codeword(message, params)
+
+    def test_huge_radix_named_briefly(self):
+        # M = 10^60 puts a free column's radix C(M + 3, 3) past 50 digits.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=10**60), n=30, ell=3)
+        message = [0] * len(message_radices(params))
+        message[0] = -1
+        message_re = r"^message symbol -1 at column 6 outside radix \[0, 1666666666\.\.\. \(180 digits\)\)$"
+        with pytest.raises(ValueError, match=message_re):
             construct_codeword(message, params)
 
     def test_numpy_integer_symbols_accepted(self):
@@ -333,6 +356,13 @@ class TestValidation:
         assert any("condition 3" in v and f"column {j}" in v for v in check.violations)
         with pytest.raises(InvalidCodewordError, match="condition 3"):
             decode_matrix(bad, params)
+
+    def test_alphabet_mismatch_is_the_one_violation(self):
+        params = marker_params(n=30, ell=3)
+        other = self._codeword(MarkerCodeParams(alphabet=AlphabetParams(q=4, M=5), n=30, ell=3))
+        check = is_valid_codeword(other, params)
+        assert not check
+        assert check.violations == ("alphabet mismatch: matrix has (q=4, M=5), params expect (q=4, M=6)",)
 
     def test_dimension_mismatch(self):
         params = marker_params(n=30, ell=3)

@@ -52,6 +52,21 @@ def test_alphabet_of_fewer_than_two_rejected(Q):
         RllParams(Q=Q, R=0, ell=1, n=5)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"R": 4}, r"^restricted-subset size R 4 outside \[0, 4\)$"),
+        ({"R": -1}, r"^restricted-subset size R -1 outside \[0, 4\)$"),
+        ({"ell": 0}, r"^window length ell must be >= 1, got 0$"),
+        ({"n": -1}, r"^sequence length n must be >= 0, got -1$"),
+    ],
+    ids=["R=Q", "R<0", "ell=0", "n<0"],
+)
+def test_params_out_of_range_rejected(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RllParams(**{"Q": 4, "R": 1, "ell": 2, "n": 5, **fields})
+
+
 class TestMembership:
     def test_no_restricted_symbols(self):
         assert is_run_length_limited([False] * 10, 3)
@@ -61,6 +76,11 @@ class TestMembership:
 
     def test_runs_below_threshold(self):
         assert is_run_length_limited([True, True, False, True, True], 3)
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_window_below_1_rejected(self, ell):
+        with pytest.raises(ValueError, match=rf"^window length ell must be >= 1, got {ell}$"):
+            is_run_length_limited([True], ell)
 
     def test_short_sequences_vacuous(self):
         assert is_run_length_limited([True, True], 3)
@@ -250,6 +270,11 @@ class TestRedundancyFigures:
         assert redundancy_lower_bound(RllParams(Q=4, R=0, ell=2, n=20)) == 0.0
         assert redundancy_lower_bound(RllParams(Q=4, R=2, ell=3, n=6)) == 0.0
         assert redundancy_lower_bound(RllParams(Q=4, R=2, ell=3, n=5)) == 0.0  # n < 2l
+
+    def test_upper_bounds_need_a_whole_window(self):
+        message = r"^sequence length n must be >= 5, got 3 \(at least the window length ell\)$"
+        with pytest.raises(ValueError, match=message):
+            redundancy_upper_bounds(RllParams(Q=4, R=1, ell=5, n=3))
 
     def test_upper_bounds_union_absent_at_saturation(self):
         up = redundancy_upper_bounds(RllParams(Q=2, R=1, ell=2, n=8))

@@ -307,6 +307,15 @@ class TestMatrixSerialization:
 class TestCountArray:
     """CompositeMatrix's one (q, n) count array and its checks."""
 
+    def test_a_symbol_needs_a_count(self):
+        with pytest.raises(ValueError, match="^composite symbol must have at least one count$"):
+            CompositeSymbol(())
+
+    def test_a_matrix_is_never_equal_to_another_type(self):
+        matrix = CompositeMatrix([[6], [0]], AlphabetParams(q=2, M=6))
+        assert matrix.__eq__(3) is NotImplemented
+        assert matrix != 3 and matrix != "matrix"
+
     def test_bool_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative integers"):
             CompositeSymbol((True, 5))
