@@ -15,20 +15,22 @@ per-strand or per-fragment loop. Below q = `_COLUMN_COUNT_Q`, a pool-order
 sample whose fragments at their own columns cover `_COLUMN_COUNT_SHARE` of
 the matrix is counted as its column counts less the gaps (align_pool).
 
-Randomness is counter-based (Philox4x64-10; Salmon et al., "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC'11). Synthesis, breaking, sampling
-and the message draw each read their own lane: the stream keyed by
-(seed, lane). Synthesis and breaking read theirs in rows through one reader
-(_lane_rows): strand i's row of w break doubles starts at counter block
-i * ceil(w / 4) (four 64-bit words a block), and its synthesis words at
-word i * ceil(n / k), k base-M slots a word (see synthesize). So
-strand i reads the same draws whatever the strand count or block size, and
-results are identical under any execution order.
+Randomness comes from PCG64DXSM (O'Neill, "PCG: A family of simple fast
+space-efficient statistically good algorithms", 2014), one 64-bit word a
+draw. Synthesis, breaking, sampling and the message draw each read their
+own lane: the stream keyed by (seed, lane). Synthesis and breaking read
+theirs in rows through one reader (_lane_rows), under one rule: strand i's
+row of w draws starts at draw i * w of its lane. A break row holds w
+doubles (_break_width); a synthesis row holds ceil(n / k) words, k base-M
+slots a word (see synthesize). So strand i reads the same draws whatever
+the strand count or block size, and results are identical under any
+execution order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -66,17 +68,16 @@ _COLUMN_COUNT_Q = 16
 
 
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
-    """Independent Philox stream keyed by (seed, lane, index); seed an integer in [0, 2^64).
+    """Independent PCG64DXSM stream keyed by (seed, lane, index); seed an integer in [0, 2^64).
 
     Index 0 is the lane's own stream, which the batched stages read row by
     row (see the module docstring). Other indices give independent streams
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
-    _int_arg(seed, "seed", 0, 1 << 64, "2^64")  # an integer: Philox's uint64 key would truncate a float
+    _int_arg(seed, "seed", 0, 1 << 64, "2^64")  # SeedSequence would take a bool or an integer past 2^64
     _int_arg(lane, "substream lane", 0, 16)
     _int_arg(index, "substream index", 0, 1 << 60, "2^60")
-    key = np.array([seed, (lane << 60) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(lane, index))))
 
 
 def _block_rows(stride: int) -> int:
@@ -116,6 +117,8 @@ class _TBreaks:
     def __post_init__(self) -> None:
         _int_arg(self.t, "break count", 0)
         if self.bond_range is not None:
+            for i, end in enumerate(self.bond_range, start=1):
+                _int_arg(end, f"bond range entry {i}", -math.inf)  # any integer: bonds(n) checks the fit
             self.bonds()
 
     def bonds(self, n: Optional[int] = None) -> tuple[int, int]:
@@ -365,6 +368,7 @@ def _chunk_tables(matrix: CompositeMatrix, k: int, width: int) -> tuple[int, Opt
 
 def _break_width(model: BreakModel, n: int) -> int:
     """Uniforms per strand: one per bond, or a count draw (unused by ExactlyT) plus t Floyd draws."""
+    _int_arg(n, "strand length n", -math.inf)  # the type only: the range message below keeps its wording
     if n < 1:
         raise ValueError(f"strand length must be >= 1, got n={brief(n)}")
     return n - 1 if isinstance(model, PerBond) else model.t + 1
@@ -428,8 +432,8 @@ def break_strands(n: int, model: BreakModel, count: int, seed: int) -> FragmentP
     """
     _int_arg(count, "strand count", 1)
     width = _break_width(model, n)
-    lane = _lane_rows(substream(seed, LANE_BREAK).random, count, -(-width // 4) * 4)  # rows padded to counter blocks
-    blocks = [(lo, *_cuts(u[:, :width], n, model)) for lo, u in lane]
+    lane = _lane_rows(substream(seed, LANE_BREAK).random, count, width)
+    blocks = [(lo, *_cuts(u, n, model)) for lo, u in lane]
     row = np.concatenate([row + lo for lo, row, _ in blocks])
     bond = np.concatenate([bond for _, _, bond in blocks], dtype=np.int32)  # the triplets' type: unbuffered scatters
     # Row-major cut c of strand r ends fragment r + c and starts fragment r + c + 1.

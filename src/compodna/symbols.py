@@ -367,6 +367,7 @@ def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int
     L1 distance to the scaled input among integer vectors with that sum.
     Exact: floats are read at their binary value, over a common denominator.
     """
+    _int_arg(total, "total", 0)
     try:
         ratios = [(v if isinstance(v, float) else operator.index(v)).as_integer_ratio() for v in values]
     except OverflowError:  # an infinity; a NaN is a ValueError already

@@ -698,6 +698,17 @@ class TestBondRangeValidation:
             with pytest.raises(ValueError, match="cannot place"):
                 kind(t=3, bond_range=(5, 6))
 
+    @pytest.mark.parametrize("kind", [ExactlyT, AtMostT])
+    @pytest.mark.parametrize("bond_range, entry, shown", [((2.5, 20), 1, "2.5"), ((5, 20.0), 2, "20.0"),
+                                                          ((True, 20), 1, "True")], ids=repr)
+    def test_models_reject_an_entry_that_is_not_an_integer(self, kind, bond_range, entry, shown):
+        # A float end once built a model that run_experiment then ran, truncating the candidate bonds.
+        with pytest.raises(ValueError, match=rf"^bond range entry {entry} must be an integer, got {shown}$"):
+            kind(t=1, bond_range=bond_range)
+
+    def test_models_accept_numpy_integer_entries(self):
+        assert ExactlyT(t=1, bond_range=(np.int64(5), np.uint8(20))).bonds(30) == (5, 20)
+
     def test_simulate_exits_before_synthesis(self, tmp_path, monkeypatch, capsys):
         from compodna.cli import main
 
@@ -752,7 +763,7 @@ class TestSeedRange:
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2)], ids=repr)
     def test_substream_rejects_a_seed_that_is_not_an_integer(self, seed):
-        # Philox's uint64 key would truncate a float seed, so 1.5 would run as seed 1.
+        # A float seed would otherwise reach the stream's seeding, and 1.0 would run as seed 1.
         with pytest.raises(ValueError, match=rf"seed must be an integer, got {re.escape(repr(seed))}$"):
             substream(seed, LANE_SYNTH)
 
@@ -781,6 +792,20 @@ class TestLaneAndLengthRange:
 
     def test_substream_accepts_lane_15(self):
         assert substream(1, 15).random() != substream(1, 0).random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_every_lane_and_index_starts_its_own_stream(self, seed):
+        firsts = {substream(seed, lane, index).bit_generator.random_raw() for lane in range(16) for index in range(3)}
+        assert len(firsts) == 16 * 3
+
+    @pytest.mark.parametrize("n", [30.0, 2.5, True, "30"], ids=repr)
+    def test_break_strands_rejects_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=rf"^strand length n must be an integer, got {re.escape(repr(n))}$"):
+            break_strands(n, PerBond(0.1), 3, 1)
+
+    def test_break_strands_accepts_a_numpy_integer_n(self):
+        pool, again = break_strands(np.int64(30), PerBond(0.1), 3, 1), break_strands(30, PerBond(0.1), 3, 1)
+        assert all((a == b).all() for a, b in zip(vars(pool).values(), vars(again).values()))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_break_strands_rejects_n_below_1(self, n):

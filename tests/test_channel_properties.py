@@ -122,7 +122,8 @@ class TestSplitInvariance:
         with pytest.MonkeyPatch.context() as patch:
             # 1000 draws or bases a block. Synthesis blocks hold 1000 // W strands of
             # W = ceil(n / 12) words: 250 to 500 from n = 13 on, so 600 strands cross them,
-            # while at n <= 12 one block holds them all. Break blocks hold 25 to 250 rows and
+            # while at n <= 12 one block holds them all. Break blocks hold 1000 // w rows of w draws:
+            # 25 to 100 under PerBond and 200 to 1000 under the t-models, and
             # column-count blocks 8000 // n = 200 to 727 (all 600 at n <= 13); the gaps' gather
             # ends a block every 1000 bases. A share of 0 counts by columns whatever is covered.
             patch.setattr(channel, "_BLOCK", 1000)
@@ -150,7 +151,7 @@ class TestSplitInvariance:
         # cuts exactly where break_strands does.
         width = n - 1 if isinstance(model, PerBond) else model.t + 1
         rng = substream(seed, LANE_BREAK)
-        rng.bit_generator.advance(index * math.ceil(width / 4))
+        rng.bit_generator.advance(index * width)
         strand = np.arange(1, n + 1)
         pieces = apply_breaks_traced(strand, model, rng)
         pool = break_strands(n, model, index + 1, seed)
@@ -538,9 +539,8 @@ class TestFloydDraws:
 
 
 def lane_rows(seed, lane, count, width):
-    """The lane's doubles, row i from counter block i * ceil(width / 4), read in one call."""
-    stride = math.ceil(width / 4) * 4
-    return substream(seed, lane).random(count * stride).reshape(count, stride)[:, :width]
+    """The lane's doubles, row i from draw i * width, read in one call."""
+    return substream(seed, lane).random(count * width).reshape(count, width)
 
 
 def floyd_reference(u, n, model):
@@ -574,7 +574,7 @@ class TestCutCoreMatchesScalarReference:
             assert (pool.start[cut & (pool.strand == i)] - 1).tolist() == bonds
             if i < 20:
                 rng = substream(seed, LANE_BREAK)
-                rng.bit_generator.advance(i * math.ceil((model.t + 1) / 4))
+                rng.bit_generator.advance(i * (model.t + 1))
                 strand = np.arange(1, n + 1)
                 assert [start for start, _ in apply_breaks_traced(strand, model, rng)] == [1] + [b + 1 for b in bonds]
 
@@ -586,6 +586,22 @@ class TestCutCoreMatchesScalarReference:
         cut = pool.start > 1
         for i in range(count):
             assert (pool.start[cut & (pool.strand == i)] - 1).tolist() == [b + 1 for b in range(n - 1) if u[i, b] < p]
+
+
+    @pytest.mark.parametrize("n, model", [(100, ExactlyT(t=1, bond_range=(5, 95))), (40, PerBond(p=0.1)),
+                                          (30, AtMostT(t=4)), (11, ExactlyT(t=0))], ids=repr)
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_rows_are_unpadded(self, n, model, block, monkeypatch):
+        # Strand i's cuts are _cuts over draws i * w .. i * w + w - 1 of the lane, with no padding between rows.
+        count, seed = 500, 2**40 + n
+        if block is not None:
+            monkeypatch.setattr(channel, "_BLOCK", block)
+        width = channel._break_width(model, n)
+        row, bond = channel._cuts(substream(seed, LANE_BREAK).random(count * width).reshape(count, width), n, model)
+        pool = break_strands(n, model, count, seed)
+        cut = pool.start > 1
+        assert pool.strand[cut].tolist() == row.tolist()
+        assert (pool.start[cut] - 1).tolist() == bond.tolist()
 
 
 class TestSynthesisMatchesScalarReference:
@@ -709,7 +725,7 @@ class TestRunExperimentPinned:
     """run_experiment_traced's reports and TraceStats on a grid, hashed and pinned:
     a change to any stream or report moves the hash."""
 
-    PINNED = "928aff51f1cf56e43b15aa7f463e34166b0ccbff5a761c4c1e10fe010a1cf765"
+    PINNED = "7c0cf72bb244837abbdb19fa48a3f5aad456768fa4ce9e277126996f802bcf2b"
 
     def test_grid_hash(self):
         digest = hashlib.sha256()
@@ -735,19 +751,20 @@ class TestStreamsPinned:
     (byte and two-byte lanes), the compare passes (M = 64 and 70,000) and all three break models."""
 
     SYNTHESIS = [
-        ((4, 6, 100), 10_000, "e0f96b5fb357d114feb3b353666f0c42a7bdef3171ed8f9873f8a731e78939c3"),
-        ((1024, 2, 40), 2_000, "3f99ad317688e1facbf0e83338144def96e2abd714c2494fccb4f6eeffa7a36f"),
-        ((32767, 1, 13), 8, "bbbfe5d1db357079a8fa8d458ed2a0ca5e9c0e536e67f1a644974ff88f7f64ec"),
-        ((4, 64, 1000), 2_000, "427f18e843e3e2ca1617f394e32ef3933f691ebe2ef98bcf2a94b30be1d0029a"),
-        ((4, 70000, 40), 2_000, "fca1cd599a754b43eeeb01644174591cff982aba3c7888502257fd7b7b35a1b5"),
+        ((4, 6, 100), 10_000, "0709d5e6290003ea1d738fd7e55b58c6f34101e8bcba0df4ab75537829c2b480"),
+        ((1024, 2, 40), 2_000, "041846d80a8bdb631027569f8a418863ab11907eb44e11a2af169b0a73a4af03"),
+        ((32767, 1, 13), 8, "43889507f88ed57bfaee119abf891d354b83bfe68515911a70becb6630b765e4"),
+        ((4, 64, 1000), 2_000, "015b4ccd67b3dff7b0e51723e83bbc91446428c24213f843ccd6d61273da0387"),
+        ((4, 70000, 40), 2_000, "59327c5a8df7e85b415120becd50bcad7d170e79524bcaf2c55e29cff10da6cf"),
     ]
     BREAKS = [
-        (PerBond(0.002), 1000, "6926ef4476b6f3d15fac1ee72912d5e45c723434442eb10ebc24402c710ba822"),
-        (ExactlyT(1, (5, 95)), 100, "550baaa2350129749d4c4ecafb14008a27d00de9e612e027dd09e00ff4323daa"),
-        (AtMostT(3), 100, "ea45567ec31d4eda8dddfbb134e3ef1974d321020fdfff1ec54a22ffb65fbe00"),
+        (PerBond(0.002), 1000, "c40bfb843297de671605a8a931a9df9f183debcfdb791cb0c5f3b430adc26eda"),
+        (ExactlyT(1, (5, 95)), 100, "2cccdf639f5b3531368eda12ba48d6319bb5f4a4448558d30b170badcecb4a4c"),
+        (AtMostT(3), 100, "8dbd60eb45100e38cdc84369e6eca76b09a037f6b5e2618da45d6265a3c09a76"),
     ]
 
-    @pytest.mark.parametrize("code, count, pinned", SYNTHESIS)
+    # Ids name the case, not its hash, so a stream change moves the pins and keeps the test names.
+    @pytest.mark.parametrize("code, count, pinned", SYNTHESIS, ids=[f"q{q}-M{m}-n{n}" for (q, m, n), _, _ in SYNTHESIS])
     def test_synthesis(self, code, count, pinned):
         q, m, n = code
         params = MarkerCodeParams(alphabet=AlphabetParams(q=q, M=m), n=n, ell=3)
@@ -755,7 +772,7 @@ class TestStreamsPinned:
         strands = synthesize(codeword, count, seed=1)
         assert hashlib.sha256(strands.astype("<i2").tobytes()).hexdigest() == pinned
 
-    @pytest.mark.parametrize("model, n, pinned", BREAKS)
+    @pytest.mark.parametrize("model, n, pinned", BREAKS, ids=[f"{model!r}-n{n}" for model, n, _ in BREAKS])
     def test_breaks(self, model, n, pinned):
         pool = break_strands(n, model, 3000, seed=1)
         triplets = np.concatenate([pool.strand, pool.start, pool.end]).astype("<i4")

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -221,6 +222,13 @@ class TestQuantize:
     @settings(max_examples=300)
     def test_matches_the_fraction_oracle(self, values, total):
         assert largest_remainder_apportion(values, total) == fraction_apportion(values, total)
+
+    @pytest.mark.parametrize("total, message", [(5.5, "must be an integer, got 5.5"), (True, "must be an integer, got True"),
+                                                (-1, "must be >= 0, got -1")], ids=repr)
+    def test_total_must_be_a_nonnegative_integer(self, total, message):
+        # A float total once returned floats, [2.0, 4.0] for ([1, 2], 5.5), summing to 6.
+        with pytest.raises(ValueError, match=rf"^total {re.escape(message)}$"):
+            largest_remainder_apportion([1, 2], total)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
