@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -100,6 +101,8 @@ class PerBond:
     p: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, numbers.Real) or isinstance(self.p, bool):
+            raise ValueError(f"bond break probability must be a real number, got {brief(self.p)}")
         # Check before converting: float() overflows on an int past 1e308.
         if not 0 <= self.p <= 1:
             raise ValueError(f"bond break probability must be in [0, 1], got {brief(self.p)}")
@@ -109,7 +112,8 @@ class PerBond:
 @dataclass(frozen=True)
 class _TBreaks:
     """The t-break models' one body. `bond_range` (lo, hi), 1-based inclusive,
-    restricts the candidate bonds; None means all of [1, n-1]."""
+    restricts the candidate bonds; None means all of [1, n-1]. A list or tuple
+    of two integers is held as a tuple of ints."""
 
     t: int
     bond_range: Optional[tuple[int, int]] = None
@@ -117,8 +121,11 @@ class _TBreaks:
     def __post_init__(self) -> None:
         _int_arg(self.t, "break count", 0)
         if self.bond_range is not None:
-            for i, end in enumerate(self.bond_range, start=1):
-                _int_arg(end, f"bond range entry {i}", -math.inf)  # any integer: bonds(n) checks the fit
+            if not isinstance(self.bond_range, (list, tuple)) or len(self.bond_range) != 2:
+                raise ValueError(f"bond range must hold two integers, got {brief_json(self.bond_range)}")
+            # Any integers: bonds(n) checks the fit.
+            ends = [int(_int_arg(end, f"bond range entry {i}", -math.inf)) for i, end in enumerate(self.bond_range, 1)]
+            object.__setattr__(self, "bond_range", tuple(ends))
             self.bonds()
 
     def bonds(self, n: Optional[int] = None) -> tuple[int, int]:
@@ -126,11 +133,11 @@ class _TBreaks:
         without n, only a given `bond_range` is checked, not its fit in [1, n-1]."""
         lo, hi = self.bond_range if self.bond_range is not None else (1, n - 1)
         if n is not None and (lo < 1 or hi > n - 1):
-            raise ValueError(f"bond range ({lo}, {hi}) outside [1, {n - 1}]")
+            raise ValueError(f"bond range ({brief(lo)}, {brief(hi)}) outside [1, {brief(n - 1)}]")
         if self.bond_range is not None and lo > hi:
-            raise ValueError(f"bond range ({lo}, {hi}) is empty")
+            raise ValueError(f"bond range ({brief(lo)}, {brief(hi)}) is empty")
         if self.t > hi - lo + 1:
-            raise ValueError(f"cannot place {self.t} distinct breaks among {hi - lo + 1} bonds")
+            raise ValueError(f"cannot place {brief(self.t)} distinct breaks among {brief(hi - lo + 1)} bonds")
         return lo, hi
 
 

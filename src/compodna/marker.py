@@ -23,12 +23,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .symbols import AlphabetParams, CompositeMatrix, alphabet_size, brief, restricted_symbol_count
-from .symbols import _count_dtype, _int_arg, _is_int, _rank_composition, _unrank_composition
+from .symbols import _composition_count, _count_dtype, _int_arg, _is_int, _rank_composition, _unrank_composition
 
 
 class InvalidCodewordError(ValueError):
@@ -135,7 +136,7 @@ def _build_layout(params: MarkerCodeParams) -> LayoutMap:
         "breaker": bases != params.marker_base,
         "free": bases > 0,
     }
-    radix = {role: _radix(params.M, int(mask.sum())) for role, mask in masks.items()}
+    radix = {role: _composition_count(int(mask.sum()), params.M) for role, mask in masks.items()}
     block = ["anchor" if base == params.anchor_base else "marker" for base in params.marker_pattern()]
     data = [_data_role(j, ell) for j in range(span + 1, params.n - span + 1)]
     roles = tuple(block + data + block)
@@ -148,17 +149,12 @@ def _data_role(j: int, ell: int) -> str:
     return "breaker" if (j + 2) % ell == 0 else "free"
 
 
-def _radix(m: int, k: int) -> int:
-    """Values of a column weighing k bases: C(M + k - 1, k - 1)."""
-    return math.comb(m + k - 1, k - 1)
-
-
 def _check_radices(params: MarkerCodeParams) -> None:
     """A ValueError names the first data column whose radix passes 2^63, in O(ell) time and
     memory at any n and q: roles repeat every ell data columns, and a breaker weighs q - 1
-    bases, a free column q. The layout is not built."""
-    span, radix = params.ell + 2, {"breaker": _radix(params.M, params.q - 1), "free": _radix(params.M, params.q)}
-    for j in range(span + 1, min(params.n - span, span + params.ell) + 1):
+    bases, a free column q. It reads the first ell data columns, from ell + 3; the layout is not built."""
+    radix = {"breaker": _composition_count(params.q - 1, params.M), "free": alphabet_size(params.alphabet)}
+    for j in range(params.ell + 3, min(params.n - params.ell - 2, 2 * params.ell + 2) + 1):
         if (value := radix[_data_role(j, params.ell)]) > 1 << 63:
             raise ValueError(f"message draw needs radices <= 2^63, but column {j} has radix {brief(value)}")
 
@@ -194,7 +190,8 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     counts = np.zeros((params.q, params.n), dtype=_count_dtype(m))
     # The transposed mask lists every column's allowed bases in order, column by column.
     parts = lay.allowed.sum(axis=0).tolist()
-    counts.T[lay.allowed.T] = [c for s, k in zip(symbols, parts) for c in _unrank_composition(s, k, m)]
+    scatter = chain.from_iterable(map(_unrank_composition, symbols, parts, repeat(m)))
+    counts.T[lay.allowed.T] = np.fromiter(scatter, dtype=counts.dtype, count=sum(parts))
     return CompositeMatrix._owned(counts, params.alphabet)
 
 
@@ -226,8 +223,8 @@ def is_valid_codeword(matrix: CompositeMatrix, params: MarkerCodeParams) -> Code
     """
     if matrix.params != params.alphabet:
         violation = (
-            f"alphabet mismatch: matrix has (q={matrix.params.q}, M={matrix.params.M}), "
-            f"params expect (q={params.q}, M={params.M})"
+            f"alphabet mismatch: matrix has (q={brief(matrix.params.q)}, M={brief(matrix.params.M)}), "
+            f"params expect (q={brief(params.q)}, M={brief(params.M)})"
         )
         return CodewordCheck(ok=False, violations=(violation,))
     if matrix.n != params.n:

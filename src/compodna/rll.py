@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .symbols import _int_arg, csv_row
+from .symbols import _int_arg, brief, csv_row
 
 _BRUTE_LIMIT = 20
 
@@ -70,7 +70,7 @@ def count_rll_brute(params: RllParams) -> int:
     """
     Q, R, ell, n = params.Q, params.R, params.ell, params.n
     if n > _BRUTE_LIMIT:
-        raise ValueError(f"brute-force count limited to n <= {_BRUTE_LIMIT}, got n={n}")
+        raise ValueError(f"brute-force count limited to n <= {_BRUTE_LIMIT}, got n={brief(n)}")
     good, run = Q - R, "1" * ell
     total = 0
     for pattern in map("".join, product("01", repeat=n)):

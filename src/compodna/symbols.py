@@ -48,9 +48,10 @@ class CompositeSymbol:
     def __post_init__(self) -> None:
         if not self.counts:
             raise ValueError("composite symbol must have at least one count")
-        for c in self.counts:
-            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                raise ValueError(f"counts must be nonnegative integers, got {self.counts}")
+        if not all(_is_int(c) and c >= 0 for c in self.counts):
+            raise ValueError(f"counts must be nonnegative integers, got {brief_json(self.counts)}")
+        if type(self.counts) is not tuple or not set(map(type, self.counts)) <= {int}:  # held as a tuple of ints
+            object.__setattr__(self, "counts", tuple(map(int, self.counts)))
 
     @property
     def q(self) -> int:
@@ -62,9 +63,9 @@ class CompositeSymbol:
 
     def validate(self, params: AlphabetParams) -> None:
         if self.q != params.q:
-            raise ValueError(f"symbol has {self.q} counts, alphabet has q={params.q}")
+            raise ValueError(f"symbol has {self.q} counts, alphabet has q={brief(params.q)}")
         if self.resolution != params.M:
-            raise ValueError(f"counts sum to {self.resolution}, expected M={params.M}")
+            raise ValueError(f"counts sum to {brief(self.resolution)}, expected M={brief(params.M)}")
 
 
 def _count_dtype(m: int) -> type:
@@ -212,7 +213,7 @@ def brief_json(value: object) -> str:
         for key, item in value.items():
             parts.append(f"{json.dumps(str(key))}: {brief_json(item)}")
         return f"{{{', '.join(parts)}}}"
-    return brief(value) if isinstance(value, int) and not isinstance(value, bool) else json.dumps(value, default=repr)
+    return brief(value) if _is_int(value) else json.dumps(value, default=repr)
 
 
 def json_value(value: object, kind: str, path: str):
@@ -253,9 +254,14 @@ def csv_row(values: Iterable[object]) -> str:
     ])
 
 
+def _composition_count(parts: int, total: int) -> int:
+    """Compositions of `total` into `parts` nonnegative parts: C(total + parts - 1, parts - 1), exactly."""
+    return math.comb(total + parts - 1, parts - 1)
+
+
 def alphabet_size(params: AlphabetParams) -> int:
     """Number of composite symbols: C(M+q-1, q-1), exactly."""
-    return math.comb(params.M + params.q - 1, params.q - 1)
+    return _composition_count(params.q, params.M)
 
 
 def restricted_symbol_count(params: AlphabetParams, excluded_base: int) -> int:
@@ -264,20 +270,23 @@ def restricted_symbol_count(params: AlphabetParams, excluded_base: int) -> int:
     Equals C(M+q-1, q-1) - C(M+q-2, q-2): total symbols minus those that
     place zero weight on the excluded base.
     """
-    q, m = params.q, params.M
-    _int_arg(excluded_base, "base index", 1, q + 1)
-    return math.comb(m + q - 1, q - 1) - math.comb(m + q - 2, q - 2)
+    _int_arg(excluded_base, "base index", 1, params.q + 1)
+    return alphabet_size(params) - _composition_count(params.q - 1, params.M)
 
 
 def _compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    # Last coordinate descending, prefix recursively: yields the colex order
-    # matching _rank_composition below.
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total, -1, -1):
-        for rest in _compositions(parts - 1, total - last):
-            yield rest + (last,)
+    # The colex order of _rank_composition below, in a loop (not one generator a part, which
+    # recursed q deep): from (0, ..., 0, total), the first nonzero part j past part 0 moves one
+    # unit, and all of part 0, to part j - 1, until all of total is in part 0.
+    x = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(x)
+        j = next((j for j in range(1, parts) if x[j]), None)
+        if j is None:
+            return
+        head, x[0] = x[0], 0
+        x[j - 1] += head + 1
+        x[j] -= 1
 
 
 def _rank_composition(counts: Sequence[int]) -> int:
@@ -371,7 +380,7 @@ def largest_remainder_apportion(values: Sequence[float], total: int) -> list[int
     try:
         ratios = [(v if isinstance(v, float) else operator.index(v)).as_integer_ratio() for v in values]
     except OverflowError:  # an infinity; a NaN is a ValueError already
-        raise ValueError(f"values must be finite, got {values}") from None
+        raise ValueError(f"values must be finite, got {brief_json(list(values))}") from None
     scale = math.lcm(*(d for _, d in ratios))
     weights = np.array([[p * (scale // d)] for p, d in ratios], dtype=object)
     if (weights < 0).any() or not weights.sum() > 0:

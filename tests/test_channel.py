@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -709,6 +710,22 @@ class TestBondRangeValidation:
     def test_models_accept_numpy_integer_entries(self):
         assert ExactlyT(t=1, bond_range=(np.int64(5), np.uint8(20))).bonds(30) == (5, 20)
 
+    @pytest.mark.parametrize("kind", [ExactlyT, AtMostT])
+    @pytest.mark.parametrize("bond_range, shown", [((1, 2, 3), "[1, 2, 3]"), ((5,), "[5]"), ([], "[]"), (5, "5"),
+                                                   ("ab", '"ab"')], ids=repr)
+    def test_models_reject_a_range_that_is_not_two_integers(self, kind, bond_range, shown):
+        # Unpacking (lo, hi) once raised "too many values to unpack" or "not enough values to unpack".
+        with pytest.raises(ValueError, match=rf"^bond range must hold two integers, got {re.escape(shown)}$"):
+            kind(t=1, bond_range=bond_range)
+
+    @pytest.mark.parametrize("kind", [ExactlyT, AtMostT])
+    def test_models_hold_the_range_as_a_tuple_of_ints(self, kind):
+        # A list range was held as given: unhashable, and unequal to the same range as a tuple.
+        model = kind(t=1, bond_range=[np.int64(5), 20])
+        assert model == kind(t=1, bond_range=(5, 20)) and hash(model) == hash(kind(t=1, bond_range=(5, 20)))
+        assert type(model.bond_range) is tuple and [type(end) for end in model.bond_range] == [int, int]
+        assert json.dumps(channel.break_model_to_json_dict(model)).endswith('"bond_range": [5, 20]}')
+
     def test_simulate_exits_before_synthesis(self, tmp_path, monkeypatch, capsys):
         from compodna.cli import main
 
@@ -744,6 +761,27 @@ def test_t_models_share_a_body_but_stay_distinct(kind, other, json_kind, bond_ra
     assert obj["kind"] == json_kind
     again = channel.break_model_from_json_dict(obj)
     assert type(again) is kind and again == model
+
+
+class TestBondBreakProbability:
+    """PerBond's p is a real number in [0, 1]; anything else is named, not compared."""
+
+    @pytest.mark.parametrize("p", [True, False, "0.1", None, [0.1], 0.1j], ids=repr)
+    def test_a_bool_or_a_non_number_is_rejected(self, p):
+        # True was once held as p = 1.0, and the others raised TypeError from the range check.
+        message = rf"^bond break probability must be a real number, got {re.escape(brief(p))}$"
+        with pytest.raises(ValueError, match=message):
+            PerBond(p)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.25, np.float32(0.25), np.int64(0), Fraction(1, 4)], ids=repr)
+    def test_a_real_number_in_range_is_held_as_a_float(self, p):
+        assert type(PerBond(p).p) is float and PerBond(p).p == float(p)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
+    def test_out_of_range_keeps_its_message(self, p):
+        message = rf"^bond break probability must be in \[0, 1\], got {re.escape(brief(p))}$"
+        with pytest.raises(ValueError, match=message):
+            PerBond(p)
 
 
 class TestSeedRange:
@@ -908,6 +946,19 @@ class TestHugeValuesInErrors:
             ChannelConfig.from_json_dict(dict(obj, code_params=10**5000))
         with pytest.raises(ValueError, match=rf"^config\.seed must be an integer, got \[{self.HUGE}\]$"):
             ChannelConfig.from_json_dict(dict(obj, seed=[10**5000]))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: ExactlyT(1, (5, v)).bonds(30), rf"bond range \(5, {HUGE}\) outside \[1, 29\]"),
+            (lambda v: AtMostT(1, (v, 5)), rf"bond range \({HUGE}, 5\) is empty"),
+            (lambda v: ExactlyT(v).bonds(30), rf"cannot place {HUGE} distinct breaks among 29 bonds"),
+        ],
+        ids=["outside", "empty", "t"],
+    )
+    def test_bond_range_messages_show_numbers_briefly(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(10**5000)
 
     def test_bond_range_of_three_names_its_entries(self):
         model = {"kind": "exactly_t", "t": 1, "bond_range": [10**5000, 1, 2]}

@@ -617,7 +617,8 @@ class TestSynthesisMatchesScalarReference:
 
     def test_rows_read_their_words(self, monkeypatch):
         count, seed = 200, 9
-        # The default block, and 7 words a block: calls end inside Philox's counter blocks of 4.
+        # The default block, and 7 words a block: then a block holds 7 // W rows (or one), so the lane is
+        # read in many short calls, and row i must still start at word i * W of the one stream.
         for (q, m, n, k), block in itertools.product(self.CASES, [channel._BLOCK, 7]):
             assert m**k <= 2**32 and (k == 32 or m ** (k + 1) > 2**32)
             monkeypatch.setattr(channel, "_BLOCK", block)

@@ -191,6 +191,20 @@ class TestConstruct:
         with pytest.raises(ValueError, match=r"at column 6 is not an integer$"):
             construct_codeword(message, params)
 
+    def test_peak_memory_near_the_codeword(self):
+        # The counts plus one scatter array of their dtype come to about 1.9x the counts' bytes at q = 1024;
+        # a Python list of every count and numpy's copy of it took the peak to 2.9x.
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=1024, M=1), n=100, ell=3)
+        message = random_message(params, 1)
+        layout(params)
+        tracemalloc.start()
+        try:
+            counts = construct_codeword(message, params).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * counts.nbytes
+
     def test_huge_symbol_named_briefly_with_its_radix(self):
         # Past 4300 digits, str() of the symbol would raise in place of the message.
         params = marker_params(n=30, ell=3)
@@ -327,6 +341,13 @@ class TestValidation:
     def test_constructed_codewords_valid(self):
         params = marker_params(n=30, ell=3)
         assert is_valid_codeword(self._codeword(params), params)
+
+    def test_alphabet_mismatch_shows_a_huge_resolution_briefly(self):
+        matrix = CompositeMatrix(np.array([[10**5000], [0]], dtype=object), AlphabetParams(q=2, M=10**5000))
+        check = is_valid_codeword(matrix, marker_params(n=30, ell=3))
+        assert check.violations == (
+            "alphabet mismatch: matrix has (q=2, M=1000000000... (5001 digits)), params expect (q=4, M=6)",
+        )
 
     def test_uniform_matrix_invalid(self):
         params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=4), n=30, ell=3)

@@ -112,6 +112,11 @@ class TestBruteCount:
         with pytest.raises(ValueError):
             count_rll_brute(RllParams(Q=2, R=1, ell=2, n=21))
 
+    def test_huge_n_shown_briefly(self):
+        message = r"^brute-force count limited to n <= 20, got n=1000000000\.\.\. \(5001 digits\)$"
+        with pytest.raises(ValueError, match=message):
+            count_rll_brute(RllParams(Q=2, R=1, ell=2, n=10**5000))
+
 
 class TestExactCount:
     @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
-from compodna.symbols import _unrank_composition, _unrank_memo, csv_row, json_value
+from compodna.symbols import _unrank_composition, _unrank_memo, brief_json, csv_row, json_value
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -125,6 +125,15 @@ class TestEnumeration:
         params = AlphabetParams(q=q, M=M)
         for s in enumerate_symbols(params):
             s.validate(params)
+
+    def test_past_the_recursion_limit(self):
+        # One generator a part once nested q deep: q = 1100 raised RecursionError on its 1,100 symbols.
+        params = AlphabetParams(q=1100, M=1)
+        symbols = enumerate_symbols(params)
+        assert len(symbols) == len(set(symbols)) == alphabet_size(params)
+        for index in [0, 1, 2, 549, 1097, 1098, 1099]:
+            assert rank_symbol(symbols[index], params) == index
+            assert unrank_symbol(index, params) == symbols[index]
 
 
 class TestRankUnrank:
@@ -409,3 +418,46 @@ class TestHugeIntegersInTypeErrors:
         with pytest.raises(ValueError) as exc:
             json_value(value, "integer" if not isinstance(value, int) or isinstance(value, bool) else "array", "x")
         assert str(exc.value).endswith(f"got {json.dumps(value)}")
+
+
+class TestNumpyIntegerCounts:
+    """A numpy integer is an integer wherever a count is read, and is shown as one."""
+
+    @pytest.mark.parametrize("counts", [(np.int64(3), np.int64(3), 0, 0), [3, 3, 0, 0]], ids=["numpy-ints", "list"])
+    def test_symbol_of_numpy_counts_is_the_symbol_of_ints(self, counts):
+        # A numpy count was rejected, and a list was held as given: unhashable, and unequal to its tuple.
+        symbol = CompositeSymbol(counts)
+        assert symbol == CompositeSymbol((3, 3, 0, 0)) and hash(symbol) == hash(CompositeSymbol((3, 3, 0, 0)))
+        assert type(symbol.counts) is tuple and [type(c) for c in symbol.counts] == [int] * 4
+        assert rank_symbol(symbol, AlphabetParams(q=4, M=6)) == 80
+
+    @pytest.mark.parametrize("counts", [(1.0, 0), (np.float64(1), 0), (-1, 1)], ids=repr)
+    def test_symbol_rejects_a_float_or_a_negative(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must be nonnegative integers, got \[.*\]$"):
+            CompositeSymbol(counts)
+
+    def test_brief_json_shows_a_numpy_integer_as_a_number(self):
+        assert brief_json([np.int64(3), [np.uint8(4)], {"a": np.int64(-5)}]) == '[3, [4], {"a": -5}]'
+
+
+class TestHugeIntegersInValueErrors:
+    """A symbol's counts and sum and an apportionment's values are shown through brief."""
+
+    HUGE = r"1000000000\.\.\. \(5001 digits\)"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: CompositeSymbol((-v, 0)), rf"counts must be nonnegative integers, got \[-{HUGE}, 0\]"),
+            (lambda v: rank_symbol(CompositeSymbol((v, 0, 0, 0)), AlphabetParams(q=4, M=6)),
+             rf"counts sum to {HUGE}, expected M=6"),
+            (lambda v: CompositeSymbol((1, 0)).validate(AlphabetParams(q=2, M=v)),
+             rf"counts sum to 1, expected M={HUGE}"),
+            (lambda v: largest_remainder_apportion([v, math.inf], 6),
+             rf"values must be finite, got \[{HUGE}, Infinity\]"),
+        ],
+        ids=["counts", "sum", "M", "apportion"],
+    )
+    def test_message_shows_the_number_briefly(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(10**5000)
