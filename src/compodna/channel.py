@@ -39,7 +39,7 @@ import numpy as np
 
 from .marker import FragmentClass, MarkerCodeParams, construct_codeword, layout, message_radices
 from .marker import _check_radices, _class_rule
-from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_value
+from .symbols import REQUIRED, AlphabetParams, CompositeMatrix, brief, brief_json, json_fields, json_ints, json_value
 from .symbols import _apportion, _count_dtype, _int_arg
 
 # Substream lanes: strand synthesis, strand breaking, fragment sampling,
@@ -68,6 +68,11 @@ _COLUMN_COUNT_SHARE = 0.65
 _COLUMN_COUNT_Q = 16
 
 
+def _seed(seed: object) -> int:
+    """`seed` as an int if it is an integer in [0, 2^64): SeedSequence would take a bool or an integer past 2^64."""
+    return _int_arg(seed, "seed", 0, 1 << 64, "2^64")
+
+
 def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     """Independent PCG64DXSM stream keyed by (seed, lane, index); seed an integer in [0, 2^64).
 
@@ -75,10 +80,9 @@ def substream(seed: int, lane: int, index: int = 0) -> np.random.Generator:
     row (see the module docstring). Other indices give independent streams
     for per-item callers, such as one per strand for apply_breaks_traced.
     """
-    _int_arg(seed, "seed", 0, 1 << 64, "2^64")  # SeedSequence would take a bool or an integer past 2^64
     _int_arg(lane, "substream lane", 0, 16)
     _int_arg(index, "substream index", 0, 1 << 60, "2^60")
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(lane, index))))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(_seed(seed), spawn_key=(lane, index))))
 
 
 def _block_rows(stride: int) -> int:
@@ -119,12 +123,12 @@ class _TBreaks:
     bond_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        _int_arg(self.t, "break count", 0)
+        object.__setattr__(self, "t", _int_arg(self.t, "break count", 0))
         if self.bond_range is not None:
             if not isinstance(self.bond_range, (list, tuple)) or len(self.bond_range) != 2:
                 raise ValueError(f"bond range must hold two integers, got {brief_json(self.bond_range)}")
             # Any integers: bonds(n) checks the fit.
-            ends = [int(_int_arg(end, f"bond range entry {i}", -math.inf)) for i, end in enumerate(self.bond_range, 1)]
+            ends = [_int_arg(end, f"bond range entry {i}", -math.inf) for i, end in enumerate(self.bond_range, 1)]
             object.__setattr__(self, "bond_range", tuple(ends))
             self.bonds()
 
@@ -198,8 +202,7 @@ def break_model_from_json_dict(obj: dict, path: str = "break_model") -> BreakMod
     if rng is not None:
         if len(rng) != 2:
             raise ValueError(f"{path}.bond_range must hold two integers, got {brief_json(rng)}")
-        where = f"{path}.bond_range entry"
-        fields["bond_range"] = tuple(json_value(b, "integer", f"{where} {i}") for i, b in enumerate(rng, start=1))
+        fields["bond_range"] = json_ints(rng, f"{path}.bond_range")
     return model(**fields)
 
 
@@ -220,9 +223,18 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _int_arg(self.strand_count, "strand_count", 1)
+        if not isinstance(self.code_params, MarkerCodeParams):
+            raise ValueError(f"code_params must be a MarkerCodeParams, got {brief(self.code_params)}")
+        if not isinstance(self.break_model, BreakModel):
+            raise ValueError(f"break_model must be a PerBond, ExactlyT or AtMostT, got {brief(self.break_model)}")
+        if not isinstance(self.with_replacement, (bool, np.bool_)):
+            raise ValueError(f"with_replacement must be a bool, got {brief(self.with_replacement)}")
+        object.__setattr__(self, "with_replacement", bool(self.with_replacement))
+        object.__setattr__(self, "strand_count", _int_arg(self.strand_count, "strand_count", 1))
         if self.sample_size is not None:
-            _int_arg(self.sample_size, "sample_size", 1, why="or null for the full pool")
+            why = "or null for the full pool"
+            object.__setattr__(self, "sample_size", _int_arg(self.sample_size, "sample_size", 1, why=why))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not isinstance(self.break_model, PerBond):
             self.break_model.bonds(self.code_params.n)
         _slots_per_word(self.code_params.M)

@@ -95,11 +95,9 @@ def _code_params(args: argparse.Namespace, q: int, M: int, n: int) -> marker.Mar
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    message = symbols.json_value(json.loads(_read_input(args.message)), "array", "message")
-    digits = [symbols.json_value(x, "integer", f"message entry {i}") for i, x in enumerate(message, start=1)]
+    digits = symbols.json_ints(json.loads(_read_input(args.message)), "message")
     params = _code_params(args, args.q, args.M, args.n)
-    matrix = marker.construct_codeword(digits, params)
-    print(matrix.to_json())
+    print(marker.construct_codeword(digits, params).to_json())
     return 0
 
 

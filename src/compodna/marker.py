@@ -51,10 +51,11 @@ class MarkerCodeParams:
     anchor_base: int = 2
 
     def __post_init__(self) -> None:
-        _int_arg(self.ell, "marker run length ell", 1)
-        _int_arg(self.n, "codeword length n", 2 * self.ell + 5, why="too small for two markers plus one data column")
-        _int_arg(self.marker_base, "marker_base", 1, self.q + 1)
-        _int_arg(self.anchor_base, "anchor_base", 1, self.q + 1)
+        object.__setattr__(self, "ell", _int_arg(self.ell, "marker run length ell", 1))
+        why = "too small for two markers plus one data column"
+        object.__setattr__(self, "n", _int_arg(self.n, "codeword length n", 2 * self.ell + 5, why=why))
+        object.__setattr__(self, "marker_base", _int_arg(self.marker_base, "marker_base", 1, self.q + 1))
+        object.__setattr__(self, "anchor_base", _int_arg(self.anchor_base, "anchor_base", 1, self.q + 1))
         if self.marker_base == self.anchor_base:
             raise ValueError("marker_base and anchor_base must differ")
 
@@ -176,12 +177,10 @@ def construct_codeword(message: Sequence[int], params: MarkerCodeParams) -> Comp
     data = lay.data_positions()
     if len(message) != len(data):
         raise ValueError(f"message has {len(message)} symbols, layout expects {len(data)}")
-    if not set(map(type, message)) <= {int}:  # only a message of other types pays for the per-symbol check
-        for j, sym in zip(data, message):
-            if not _is_int(sym):
-                raise ValueError(f"message symbol {brief(sym)} at column {j} is not an integer")
     symbols = [0] * params.n
     for j, sym in zip(data, message):
+        if type(sym) is not int and not _is_int(sym):  # a message of ints never pays for _is_int
+            raise ValueError(f"message symbol {brief(sym)} at column {j} is not an integer")
         radix = lay.radices[j - 1]
         if not 0 <= sym < radix:
             raise ValueError(f"message symbol {brief(sym)} at column {j} outside radix [0, {brief(radix)})")
@@ -243,8 +242,10 @@ def decode_matrix(codeword: CompositeMatrix, params: MarkerCodeParams) -> list[i
     check = is_valid_codeword(codeword, params)
     if not check:
         raise InvalidCodewordError("; ".join(check.violations))
-    lay, counts = layout(params), codeword.counts
-    return [_rank_composition(counts[lay.allowed[:, j - 1], j - 1].tolist()) for j in lay.data_positions()]
+    # construct_codeword's scatter order: every column's allowed bases, column by column; then the data columns.
+    lay = layout(params)
+    flat, edges = codeword.counts.T[lay.allowed.T].tolist(), [0, *np.cumsum(lay.allowed.sum(axis=0)).tolist()]
+    return [_rank_composition(flat[a:b]) for a, b, fixed in zip(edges, edges[1:], lay.fixed.tolist()) if not fixed]
 
 
 def _breaker_cost(alphabet: AlphabetParams) -> float:

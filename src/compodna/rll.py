@@ -40,10 +40,10 @@ class RllParams:
 
     def __post_init__(self) -> None:
         # Every figure here is in log base Q, which needs Q >= 2.
-        _int_arg(self.Q, "alphabet size Q", 2)
-        _int_arg(self.R, "restricted-subset size R", 0, self.Q)
-        _int_arg(self.ell, "window length ell", 1)
-        _int_arg(self.n, "sequence length n", 0)
+        object.__setattr__(self, "Q", _int_arg(self.Q, "alphabet size Q", 2))
+        object.__setattr__(self, "R", _int_arg(self.R, "restricted-subset size R", 0, self.Q))
+        object.__setattr__(self, "ell", _int_arg(self.ell, "window length ell", 1))
+        object.__setattr__(self, "n", _int_arg(self.n, "sequence length n", 0))
 
 
 def is_run_length_limited(restricted_flags: Sequence[bool], ell: int) -> bool:

@@ -35,8 +35,8 @@ class AlphabetParams:
     M: int
 
     def __post_init__(self) -> None:
-        _int_arg(self.q, "base alphabet size q", 2)
-        _int_arg(self.M, "resolution parameter M", 1)
+        object.__setattr__(self, "q", _int_arg(self.q, "base alphabet size q", 2))
+        object.__setattr__(self, "M", _int_arg(self.M, "resolution parameter M", 1))
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,12 @@ class CompositeSymbol:
     def __post_init__(self) -> None:
         if not self.counts:
             raise ValueError("composite symbol must have at least one count")
-        if not all(_is_int(c) and c >= 0 for c in self.counts):
+        counts = self.counts  # held as a tuple of ints (a tuple's tuple is itself); None if one is not an integer
+        if not set(map(type, counts)) <= {int}:
+            counts = tuple(map(int, counts)) if all(map(_is_int, counts)) else None
+        if counts is None or min(counts) < 0:
             raise ValueError(f"counts must be nonnegative integers, got {brief_json(self.counts)}")
-        if type(self.counts) is not tuple or not set(map(type, self.counts)) <= {int}:  # held as a tuple of ints
-            object.__setattr__(self, "counts", tuple(map(int, self.counts)))
+        object.__setattr__(self, "counts", tuple(counts))
 
     @property
     def q(self) -> int:
@@ -139,7 +141,7 @@ class CompositeMatrix:
         return self.params == other.params and np.array_equal(self.counts, other.counts)
 
     def __hash__(self) -> int:
-        return hash((self.columns, self.params))
+        return hash((self.params, self.counts.shape, tuple(self.counts.ravel().tolist())))
 
     def to_json(self) -> str:
         return json.dumps({"q": self.params.q, "M": self.params.M, "columns": self.counts.T.tolist()})
@@ -151,8 +153,7 @@ class CompositeMatrix:
         params = AlphabetParams(q=obj["q"], M=obj["M"])
         cols = []
         for j, col in enumerate(obj["columns"], start=1):
-            entries = enumerate(json_value(col, "array", f"column {j}"), start=1)
-            cols.append([json_value(x, "integer", f"column {j} entry {i}") for i, x in entries])
+            cols.append(json_ints(col, f"column {j}"))
             if len(cols[-1]) != params.q:
                 raise ValueError(f"column {j}: symbol has {len(cols[-1])} counts, alphabet has q={params.q}")
         return cls(np.array(cols, dtype=object).reshape(-1, params.q).T, params)
@@ -187,12 +188,12 @@ def _is_int(value: object) -> bool:
 
 
 def _int_arg(value: object, name: str, lo: int, hi: Optional[int] = None, hi_shown: str = "", why: str = "") -> int:
-    """`value` if it is an integer (_is_int) in [lo, hi), or at least lo where hi is None. Otherwise a ValueError
-    names `name` and shows each number through brief (hi as `hi_shown`); a range error ends in ` (why)`."""
+    """`value` as an int if it is an integer (_is_int) in [lo, hi), or at least lo where hi is None. Otherwise a
+    ValueError names `name` and shows each number through brief (hi as `hi_shown`); a range error ends in ` (why)`."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {brief(value)}")
     if lo <= value and (hi is None or value < hi):
-        return value
+        return int(value)
     note = f" ({why})" if why else ""
     if hi is None:
         raise ValueError(f"{name} must be >= {brief(lo)}, got {brief(value)}{note}")
@@ -222,6 +223,11 @@ def json_value(value: object, kind: str, path: str):
         article = "an" if kind[0] in "aeiou" else "a"
         raise ValueError(f"{path} must be {article} {kind}, got {brief_json(value)}")
     return value
+
+
+def json_ints(value: object, path: str) -> list[int]:
+    """The JSON array `value` if every entry is an integer; otherwise a ValueError naming `path` or entry i (from 1)."""
+    return [json_value(x, "integer", f"{path} entry {i}") for i, x in enumerate(json_value(value, "array", path), 1)]
 
 
 def json_fields(obj: object, table: dict, path: str) -> dict:

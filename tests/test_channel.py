@@ -1337,3 +1337,69 @@ class TestConfigSerialization:
         (obj if section is None else obj[section])[key] = value
         with pytest.raises(ValueError, match=key):
             ChannelConfig.from_json_dict(obj)
+
+
+class TestCheckedIntegersHeldAsInts:
+    """A params object or config built from numpy integers holds each as the Python int that
+    _int_arg returns: before, it held the numpy integer, which json.dumps cannot write."""
+
+    def test_a_numpy_config_writes_and_reads_back(self):
+        code = MarkerCodeParams(AlphabetParams(q=np.int64(4), M=6), n=60, ell=3)
+        config = ChannelConfig(code, 20, ExactlyT(np.int64(1)), None, False, 1)
+        assert ChannelConfig.from_json(config.to_json()) == config
+        assert repr(ExactlyT(np.int64(1))) == "ExactlyT(t=1, bond_range=None)"
+
+    def test_every_integer_field_is_an_int(self):
+        i = np.int64
+        code = MarkerCodeParams(AlphabetParams(q=i(4), M=np.uint8(6)), n=i(60), ell=i(3), marker_base=i(3),
+                                anchor_base=np.int32(1))
+        config = ChannelConfig(code, i(20), AtMostT(i(2), (i(5), np.uint16(50))), i(10), np.True_, np.uint64(7))
+        rll_params = RllParams(Q=i(84), R=i(56), ell=i(3), n=np.uint32(20))
+        held = [
+            code.q, code.M, code.n, code.ell, code.marker_base, code.anchor_base,
+            config.strand_count, config.break_model.t, *config.break_model.bond_range, config.sample_size,
+            config.seed, rll_params.Q, rll_params.R, rll_params.ell, rll_params.n,
+        ]
+        assert [type(value) for value in held] == [int] * len(held)
+        assert config.with_replacement is True
+        assert json.loads(config.to_json())["seed"] == 7
+
+
+class TestConfigChecksEveryField:
+    """ChannelConfig checks each field when it is built, not when run_experiment first reads it."""
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, r"seed -1 outside \[0, 2\^64\)"),
+            (2**70, r"seed 1180591620717411303424 outside \[0, 2\^64\)"),
+            (1.5, "seed must be an integer, got 1.5"),
+            ("x", "seed must be an integer, got 'x'"),
+            (True, "seed must be an integer, got True"),
+        ],
+        ids=repr,
+    )
+    def test_a_bad_seed_is_rejected_when_built(self, seed, message):
+        # Each was held until run_experiment drew its first stream.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_config(seed=seed)
+
+    @pytest.mark.parametrize("value", ["yes", 1, None, 0.0], ids=repr)
+    def test_with_replacement_must_be_a_bool(self, value):
+        # "yes" was held and written out, and the config then failed to read back.
+        with pytest.raises(ValueError, match=rf"^with_replacement must be a bool, got {re.escape(repr(value))}$"):
+            make_config(with_replacement=value)
+
+    def test_a_numpy_bool_is_held_as_a_bool(self):
+        config = make_config(with_replacement=np.False_)
+        assert config.with_replacement is False and ChannelConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("code_params", DNA), ("code_params", None), ("break_model", 0.1), ("break_model", PerBond)],
+        ids=["alphabet", "none", "float", "class"],
+    )
+    def test_a_part_of_the_wrong_type_is_named(self, field, value):
+        # Each raised AttributeError from the first field read.
+        with pytest.raises(ValueError, match=rf"^{field} must be a "):
+            dataclasses.replace(make_config(), **{field: value})

@@ -14,6 +14,7 @@ from compodna import (
     AlphabetParams,
     ChannelConfig,
     CompositeMatrix,
+    CompositeSymbol,
     FragmentClass,
     InvalidCodewordError,
     MarkerCodeParams,
@@ -32,6 +33,7 @@ from compodna import (
     message_radices,
     optimal_marker_length,
     random_message,
+    rank_symbol,
     restricted_symbol_count,
     run_experiment,
     synthesize,
@@ -308,6 +310,65 @@ class TestUnitResolution:
         monkeypatch.undo()
         assert next(calls) < 1000
         assert decode_matrix(cw, params) == message
+
+
+def per_column_ranks(codeword, params):
+    """The decoder as a per-column rule: each data column's counts at its allowed bases, ranked as a
+    symbol over an alphabet of that many bases (a column of one allowed base has only symbol 0)."""
+    lay, counts = layout(params), codeword.counts
+    ranks = []
+    for j in lay.data_positions():
+        column = CompositeSymbol(tuple(counts[lay.allowed[:, j - 1], j - 1].tolist()))
+        ranks.append(0 if column.q == 1 else rank_symbol(column, AlphabetParams(column.q, params.M)))
+    return ranks
+
+
+class TestDecodeOracle:
+    """decode_matrix reads every column's allowed counts in the encoder's one flat order; this checks it
+    against the per-column rule. A round trip alone would pass an encoder and a decoder that changed
+    their column order together."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(params_and_message())
+    def test_decode_is_the_per_column_ranking(self, pm):
+        params, message = pm
+        codeword = construct_codeword(message, params)
+        assert decode_matrix(codeword, params) == per_column_ranks(codeword, params) == message
+
+    @pytest.mark.parametrize("marker_base, anchor_base", list(itertools.permutations(range(1, 5), 2)))
+    def test_every_marker_and_anchor_base(self, marker_base, anchor_base):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=4, M=3), n=31, ell=2,
+                                  marker_base=marker_base, anchor_base=anchor_base)
+        rng = random.Random(marker_base * 10 + anchor_base)
+        message = [rng.randrange(r) for r in message_radices(params)]
+        codeword = construct_codeword(message, params)
+        assert decode_matrix(codeword, params) == per_column_ranks(codeword, params) == message
+
+    @pytest.mark.parametrize("m", [2**63 - 1, 2**63])
+    def test_counts_past_int64(self, m):
+        params = MarkerCodeParams(alphabet=AlphabetParams(q=3, M=m), n=20, ell=3, marker_base=3, anchor_base=1)
+        message = [r - 1 - j for j, r in enumerate(message_radices(params))]
+        codeword = construct_codeword(message, params)
+        assert decode_matrix(codeword, params) == per_column_ranks(codeword, params) == message
+
+
+class TestOneMessagePass:
+    """construct_codeword checks each symbol's type, then its radix, in one pass over the message."""
+
+    def test_a_message_of_ints_never_calls_the_integer_test(self, monkeypatch):
+        params = marker_params(n=30, ell=3)
+        message = [r - 1 for r in message_radices(params)]
+        want = construct_codeword(message, params)
+        monkeypatch.setattr(marker, "_is_int", lambda value: pytest.fail(f"_is_int({value!r}) called"))
+        assert construct_codeword(message, params) == want
+
+    def test_the_first_bad_symbol_is_reported(self):
+        # Column 6 is out of its radix and column 7 is a float: the pass meets column 6 first.
+        params = marker_params(n=30, ell=3)
+        message = [0] * len(message_radices(params))
+        message[0], message[1] = 84, 1.5
+        with pytest.raises(ValueError, match=r"^message symbol 84 at column 6 outside radix \[0, 84\)$"):
+            construct_codeword(message, params)
 
 
 class TestHugeResolution:

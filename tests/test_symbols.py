@@ -22,7 +22,8 @@ from compodna import (
     restricted_symbol_count,
     unrank_symbol,
 )
-from compodna.symbols import _unrank_composition, _unrank_memo, brief_json, csv_row, json_value
+from compodna import symbols
+from compodna.symbols import _unrank_composition, _unrank_memo, brief_json, csv_row, json_ints, json_value
 
 
 def brute_symbols(q: int, M: int) -> set[tuple[int, ...]]:
@@ -377,6 +378,51 @@ class TestCountArray:
         assert matrix != CompositeMatrix([[m, 0], [0, m]], AlphabetParams(q=2, M=m))
 
 
+class TestMatrixHash:
+    """A matrix hashes its params, its shape and its count entries; it does not build `columns`."""
+
+    @pytest.mark.parametrize("m", [6, 2**62, 2**63 - 1, 2**63], ids=["6", "2^62", "2^63-1", "2^63"])
+    def test_int64_and_object_input_hash_equal(self, m):
+        rows, params = [[1, m - 1, 2], [m - 1, 1, m - 2]], AlphabetParams(q=2, M=m)  # every entry fits int64
+        from_int64 = CompositeMatrix(np.array(rows, dtype=np.int64), params)
+        from_object = CompositeMatrix(np.array(rows, dtype=object), params)
+        assert from_int64.counts.dtype == from_object.counts.dtype
+        assert from_int64 == from_object and hash(from_int64) == hash(from_object)
+        assert hash(from_int64) == hash(CompositeMatrix(rows, params))
+
+    def test_hash_leaves_columns_unbuilt(self):
+        matrix = CompositeMatrix(np.array([[6, 1], [0, 5]]), AlphabetParams(q=2, M=6))
+        hash(matrix)
+        assert "columns" not in vars(matrix)
+
+    def test_matrices_in_a_set(self):
+        params = AlphabetParams(q=2, M=3)
+        matrices = {CompositeMatrix(np.array(rows), params) for rows in ([[3, 0], [0, 3]], [[0, 3], [3, 0]])}
+        assert CompositeMatrix([[3, 0], [0, 3]], params) in matrices and len(matrices) == 2
+
+
+class TestJsonInts:
+    """The one reader of a JSON array of integers: the message, a matrix column, a bond range."""
+
+    def test_reads_the_integers(self):
+        assert json_ints([3, 0, 10**30, -1], "message") == [3, 0, 10**30, -1]
+        assert json_ints([], "message") == []
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (5, "message must be an array, got 5"),
+            ({"a": 1}, 'message must be an array, got {"a": 1}'),
+            ([1, 2.5], "message entry 2 must be an integer, got 2.5"),
+            ([True, 1], "message entry 1 must be an integer, got true"),
+            ([1, [2]], r"message entry 2 must be an integer, got \[2\]"),
+        ],
+    )
+    def test_names_the_array_or_its_entry(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            json_ints(value, "message")
+
+
 @pytest.mark.parametrize(
     "value, cell",
     [(None, ""), (True, "true"), (False, "false"), (0, "0"), (10**30, "1" + "0" * 30),
@@ -430,6 +476,17 @@ class TestNumpyIntegerCounts:
         assert symbol == CompositeSymbol((3, 3, 0, 0)) and hash(symbol) == hash(CompositeSymbol((3, 3, 0, 0)))
         assert type(symbol.counts) is tuple and [type(c) for c in symbol.counts] == [int] * 4
         assert rank_symbol(symbol, AlphabetParams(q=4, M=6)) == 80
+
+    def test_a_tuple_of_ints_is_held_as_given_without_the_integer_test(self, monkeypatch):
+        # One type scan finds only ints, so _is_int is never called and the tuple is not copied.
+        counts = (3, 0, 2, 1)
+        monkeypatch.setattr(symbols, "_is_int", lambda value: pytest.fail(f"_is_int({value!r}) called"))
+        assert CompositeSymbol(counts).counts is counts
+
+    @pytest.mark.parametrize("counts", [[np.int64(-1), 1], (np.uint8(1), -1), [-1, 1]], ids=repr)
+    def test_a_negative_is_shown_as_given(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must be nonnegative integers, got \[-?1, -?1\]$"):
+            CompositeSymbol(counts)
 
     @pytest.mark.parametrize("counts", [(1.0, 0), (np.float64(1), 0), (-1, 1)], ids=repr)
     def test_symbol_rejects_a_float_or_a_negative(self, counts):
